@@ -21,8 +21,7 @@ int main(int argc, char** argv) {
 
   const auto grid =
       bench::replay_trace_grid(archs, trace, {8, 16, 32, 64}, opt.threads,
-                               /*keep_samples=*/true, opt.incremental,
-                               opt.packed);
+                               /*keep_samples=*/true);
 
   for (std::size_t t = 0; t < grid.spec.axes[0].size(); ++t) {
     const int tp = static_cast<int>(grid.spec.axes[0].values[t]);

@@ -21,8 +21,7 @@ int main(int argc, char** argv) {
   // keep_samples=false: only the usable-GPUs series feeds the quantile.
   const auto grid =
       bench::replay_trace_grid(archs, trace, {8, 16, 32, 64}, opt.threads,
-                               /*keep_samples=*/false, opt.incremental,
-                               opt.packed);
+                               /*keep_samples=*/false);
 
   Table table("Job scale (GPUs) supportable 99% of the trace duration");
   std::vector<std::string> header{"Architecture"};

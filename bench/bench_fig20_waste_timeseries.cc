@@ -23,8 +23,7 @@ int main(int argc, char** argv) {
   // Representative TP pair of the paper's plot.
   const auto grid = bench::replay_trace_grid(archs, trace, {8, 32},
                                              opt.threads,
-                                             /*keep_samples=*/false,
-                                             opt.incremental, opt.packed);
+                                             /*keep_samples=*/false);
 
   for (std::size_t t = 0; t < grid.spec.axes[0].size(); ++t) {
     const int tp = static_cast<int>(grid.spec.axes[0].values[t]);

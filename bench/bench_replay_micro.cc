@@ -1,24 +1,18 @@
-// Micro-benchmark for the trace-replay tiers (see src/topo/waste.h):
-// serial oracle, windowed from-scratch replay, event-driven incremental
-// replay (pinned to the per-node flip-list path of PRs 4-5, the comparison
-// baseline), and the word-parallel packed tier (PackedMask + per-word XOR
-// deltas), on the 348-day production-calibrated sim trace (720 4-GPU
-// nodes, same cluster as Figs. 13/15/16/20). Covers the K-Hop Ring and the
-// baseline architectures (per-island allocators vs the memoizing fallback
-// they replaced, each with a packed variant). Reports replayed samples per
-// second per tier; CI runs it to track the speedups. Built directly on the
-// vendored bench/microbench.h harness so it needs no Google Benchmark.
-#include <algorithm>
+// Micro-benchmark for the trace replay (see src/topo/waste.h): the serial
+// oracle vs the production incremental replay (grid cursor + per-word XOR
+// deltas into the incremental allocators), on the 348-day
+// production-calibrated sim trace (720 4-GPU nodes, same cluster as Figs.
+// 13/15/16/20). Covers the K-Hop Ring and the per-island baseline
+// architectures. Reports replayed samples per second per tier; CI runs it
+// to track the speedups. Built directly on the vendored bench/microbench.h
+// harness so it needs no Google Benchmark.
 #include <chrono>
 #include <cstddef>
 #include <cstdlib>
-#include <memory>
 
 #include "bench/fault_bench_common.h"
 #include "bench/microbench.h"
-#include "src/fault/transitions.h"
 #include "src/topo/baselines.h"
-#include "src/topo/incremental.h"
 #include "src/topo/khop_ring.h"
 #include "src/topo/waste.h"
 
@@ -36,39 +30,29 @@ const topo::KHopRing& khop_ring() {
   return ring;
 }
 
-topo::TraceReplayOptions replay_options(bool incremental, bool packed,
-                                        double step_days = 1.0) {
+topo::TraceReplayOptions replay_options(double step_days = 1.0) {
   topo::TraceReplayOptions opts;
   opts.step_days = step_days;
-  opts.threads = 1;  // isolate the per-sample cost, not pool fan-out
-  opts.incremental = incremental;
-  opts.packed = packed;
   return opts;
 }
 
-/// Shared measured loop: `iteration` does one replay and returns how many
-/// samples it covered; reports samples/second. Every tier reports through
-/// this one wrapper so the numbers stay comparable.
-template <typename Iteration>
-void run_samples_bench(benchmark::State& state, Iteration&& iteration) {
+/// Shared measured loop: `replay` does one replay; reports samples/second.
+/// Every tier reports through this one wrapper so the numbers stay
+/// comparable.
+template <typename Replay>
+void run_replay_bench(benchmark::State& state, Replay&& replay) {
   std::size_t samples = 0;
   const auto t0 = std::chrono::steady_clock::now();
-  for (auto _ : state) samples += iteration();
+  for (auto _ : state) {
+    const topo::TraceWasteResult result = replay();
+    benchmark::DoNotOptimize(result);
+    samples += result.waste_ratio.size();
+  }
   const double secs =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
           .count();
   if (secs > 0.0)
     state.counters["samples/s"] = static_cast<double>(samples) / secs;
-}
-
-/// run_samples_bench for the evaluate_waste_over_trace tiers.
-template <typename Replay>
-void run_replay_bench(benchmark::State& state, Replay&& replay) {
-  run_samples_bench(state, [&] {
-    const topo::TraceWasteResult result = replay();
-    benchmark::DoNotOptimize(result);
-    return result.waste_ratio.size();
-  });
 }
 
 }  // namespace
@@ -81,42 +65,20 @@ static void BM_replay_serial(benchmark::State& state) {
 }
 BENCHMARK(BM_replay_serial)->Arg(8)->Arg(32);
 
-static void BM_replay_windowed(benchmark::State& state) {
-  const int tp = static_cast<int>(state.range(0));
-  run_replay_bench(state, [&] {
-    return topo::evaluate_waste_over_trace(khop_ring(), sim_trace(), tp,
-                                           replay_options(false, false));
-  });
-}
-BENCHMARK(BM_replay_windowed)->Arg(8)->Arg(32);
-
-// Pinned to packed=false: this tier IS the PR 4/5 flip-list pipeline, kept
-// as the speedup denominator for the packed tier below.
-static void BM_replay_incremental(benchmark::State& state) {
-  const int tp = static_cast<int>(state.range(0));
-  run_replay_bench(state, [&] {
-    return topo::evaluate_waste_over_trace(khop_ring(), sim_trace(), tp,
-                                           replay_options(true, false));
-  });
-}
-BENCHMARK(BM_replay_incremental)->Arg(8)->Arg(32);
-
-// The word-parallel tier: packed masks + per-word XOR deltas end-to-end
+// The production replay: packed masks + per-word XOR deltas end-to-end
 // (cursor.advance_to_words into apply_words, popcount healthy counts).
 static void BM_replay_packed(benchmark::State& state) {
   const int tp = static_cast<int>(state.range(0));
   run_replay_bench(state, [&] {
     return topo::evaluate_waste_over_trace(khop_ring(), sim_trace(), tp,
-                                           replay_options(true, true));
+                                           replay_options());
   });
 }
 BENCHMARK(BM_replay_packed)->Arg(8)->Arg(32);
 
-// --- baseline architectures: per-island allocators vs memoizing fallback --
+// --- baseline architectures: per-island allocators vs serial oracle -------
 //
-// Arg encodes (architecture, TP): the paper baselines that used to ride the
-// O(N)-per-transition MemoizingAllocator and now have true per-island
-// incremental allocators. TPUv4 appears in both regimes (per-cube
+// Arg encodes (architecture, TP). TPUv4 appears in both regimes (per-cube
 // fragmentation at TP-32, pooled clean-cube assembly at TP-128).
 
 namespace {
@@ -138,45 +100,6 @@ const topo::HbdArchitecture& baseline_arch(int case_index) {
   std::abort();  // unreachable: every case names a paper architecture
 }
 
-/// Replay loop pinned to a specific IncrementalAllocator implementation
-/// (the production path dispatches via make_incremental_allocator, which
-/// no longer hands baselines the memoizing fallback — so the fallback tier
-/// is driven directly here for the comparison). `packed` picks the cursor
-/// entry point: per-node flip lists into apply() (the PR 4/5 path) vs
-/// per-word XOR deltas into apply_words().
-template <typename MakeAllocator>
-void run_allocator_replay_bench(benchmark::State& state,
-                                MakeAllocator&& make_allocator,
-                                bool packed = false) {
-  const auto c = kBaselineCases[state.range(0)];
-  const topo::HbdArchitecture& arch = baseline_arch(
-      static_cast<int>(state.range(0)));
-  const std::vector<double> days = sim_trace().sample_days(1.0);
-  run_samples_bench(state, [&] {
-    // The packed loop binds its cursor to the grid-folded timeline, exactly
-    // as the production replay in src/topo/waste.cc does.
-    fault::FaultMaskCursor cursor =
-        packed ? fault::FaultMaskCursor(sim_trace(), 1.0)
-               : fault::FaultMaskCursor(sim_trace());
-    const auto allocator = make_allocator(arch, c.tp);
-    double sink = 0.0;
-    if (packed) {
-      for (const double day : days) {
-        const auto& deltas = cursor.advance_to_words(day);
-        sink += allocator->apply_words(cursor.packed_mask(), deltas)
-                    .waste_ratio();
-      }
-    } else {
-      for (const double day : days) {
-        const std::vector<int>& flipped = cursor.advance_to(day);
-        sink += allocator->apply(cursor.mask(), flipped).waste_ratio();
-      }
-    }
-    benchmark::DoNotOptimize(sink);
-    return days.size();
-  });
-}
-
 }  // namespace
 
 static void BM_baseline_serial(benchmark::State& state) {
@@ -189,102 +112,21 @@ static void BM_baseline_serial(benchmark::State& state) {
 }
 BENCHMARK(BM_baseline_serial)->Arg(0)->Arg(1)->Arg(2)->Arg(3)->Arg(4);
 
-static void BM_baseline_memoizing(benchmark::State& state) {
-  run_allocator_replay_bench(state, [](const topo::HbdArchitecture& arch,
-                                       int tp) {
-    return std::make_unique<topo::MemoizingAllocator>(arch, tp);
-  });
-}
-BENCHMARK(BM_baseline_memoizing)->Arg(0)->Arg(1)->Arg(2)->Arg(3)->Arg(4);
-
-static void BM_baseline_island(benchmark::State& state) {
-  run_allocator_replay_bench(state, [](const topo::HbdArchitecture& arch,
-                                       int tp) {
-    return topo::make_incremental_allocator(arch, tp);
-  });
-}
-BENCHMARK(BM_baseline_island)->Arg(0)->Arg(1)->Arg(2)->Arg(3)->Arg(4);
-
 static void BM_baseline_packed(benchmark::State& state) {
-  run_allocator_replay_bench(
-      state,
-      [](const topo::HbdArchitecture& arch, int tp) {
-        return topo::make_incremental_allocator(arch, tp);
-      },
-      /*packed=*/true);
+  const auto c = kBaselineCases[state.range(0)];
+  const topo::HbdArchitecture& arch =
+      baseline_arch(static_cast<int>(state.range(0)));
+  run_replay_bench(state, [&] {
+    return topo::evaluate_waste_over_trace(arch, sim_trace(), c.tp,
+                                           replay_options());
+  });
 }
 BENCHMARK(BM_baseline_packed)->Arg(0)->Arg(1)->Arg(2)->Arg(3)->Arg(4);
 
-// --- nested sweep × replay: one work-stealing pool for both levels --------
-//
-// The shape that motivated the scheduler (ISSUE 5): a LOW-CELL-COUNT sweep
-// of LONG replays. Four (TP, step) cells of the from-scratch windowed
-// replay with uneven cost — two daily cells and two quarter-day cells, i.e.
-// 1+1+4+4 units of work — on a >= 8-worker pool. Outer-only fan-out (the
-// pre-scheduler behavior: cells parallel, each replay pinned to 1 thread)
-// is wall-clock-bounded by the heaviest cell replaying alone (~4 units);
-// the nested tier fans every cell's windows on the SAME pool, so the bound
-// drops to total-work / workers (10/8 units on 8 workers, ~3.2x ideal).
-// Speedups require real cores: with fewer cores than cells both tiers
-// saturate the machine and report the same throughput.
-
-namespace {
-
-constexpr int kNestedWorkers = 8;
-
-topo::TraceWasteResult nested_cell_replay(const runtime::Scenario& s,
-                                          runtime::ThreadPool* inner_pool) {
-  topo::TraceReplayOptions opts;
-  opts.step_days = s.value(0);
-  opts.incremental = false;  // from-scratch windowed: the expensive tier
-  opts.keep_samples = false;
-  if (inner_pool != nullptr)
-    opts.pool = inner_pool;  // nested: windows steal idle sweep workers
-  else
-    opts.threads = 1;  // outer-only: the pre-scheduler workaround
-  return topo::evaluate_waste_over_trace(khop_ring(), sim_trace(),
-                                         static_cast<int>(s.value(1)), opts);
-}
-
-void run_nested_sweep_bench(benchmark::State& state, bool nested) {
-  static runtime::ThreadPool pool(
-      std::max(kNestedWorkers, runtime::ThreadPool::default_threads()));
-  runtime::SweepSpec spec;
-  spec.trials = 1;
-  spec.axes = {runtime::Axis::of_values("step", {1.0, 0.25}),
-               runtime::Axis::of_values("TP", {8, 32})};
-  run_samples_bench(state, [&] {
-    const auto grid = runtime::run_sweep_reduce(
-        spec, topo::TraceWasteResult{},
-        [&](const runtime::Scenario& s, Rng&) {
-          return nested_cell_replay(s, nested ? &pool : nullptr);
-        },
-        [](topo::TraceWasteResult& acc, topo::TraceWasteResult&& replay) {
-          acc = std::move(replay);
-        },
-        /*threads=*/0, &pool);
-    std::size_t samples = 0;
-    for (const auto& cell : grid.cells) samples += cell.waste_ratio.size();
-    benchmark::DoNotOptimize(samples);
-    return samples;
-  });
-}
-
-}  // namespace
-
-static void BM_nested_sweep_outer_only(benchmark::State& state) {
-  run_nested_sweep_bench(state, false);
-}
-BENCHMARK(BM_nested_sweep_outer_only);
-
-static void BM_nested_sweep_shared_pool(benchmark::State& state) {
-  run_nested_sweep_bench(state, true);
-}
-BENCHMARK(BM_nested_sweep_shared_pool);
-
-// Quarter-day sampling: the event-driven tier's home turf — the transition
-// count is fixed by the trace, so 4x the samples cost the serial tiers 4x
-// but the incremental tier almost nothing (most samples see no flips).
+// Quarter-day sampling: the incremental replay's home turf — the
+// transition count is fixed by the trace, so 4x the samples cost the serial
+// oracle 4x but the incremental replay almost nothing (most samples see no
+// flips).
 static void BM_replay_serial_quarter_day(benchmark::State& state) {
   const int tp = static_cast<int>(state.range(0));
   run_replay_bench(state, [&] {
@@ -294,20 +136,11 @@ static void BM_replay_serial_quarter_day(benchmark::State& state) {
 }
 BENCHMARK(BM_replay_serial_quarter_day)->Arg(32);
 
-static void BM_replay_incremental_quarter_day(benchmark::State& state) {
-  const int tp = static_cast<int>(state.range(0));
-  run_replay_bench(state, [&] {
-    return topo::evaluate_waste_over_trace(khop_ring(), sim_trace(), tp,
-                                           replay_options(true, false, 0.25));
-  });
-}
-BENCHMARK(BM_replay_incremental_quarter_day)->Arg(32);
-
 static void BM_replay_packed_quarter_day(benchmark::State& state) {
   const int tp = static_cast<int>(state.range(0));
   run_replay_bench(state, [&] {
     return topo::evaluate_waste_over_trace(khop_ring(), sim_trace(), tp,
-                                           replay_options(true, true, 0.25));
+                                           replay_options(0.25));
   });
 }
 BENCHMARK(BM_replay_packed_quarter_day)->Arg(32);

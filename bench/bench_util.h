@@ -30,20 +30,11 @@ struct Options {
   bool quick = false;   ///< reduced trial counts (CI mode)
   int trials = 0;       ///< 0 = the bench's own default (--trials N)
   int threads = 0;      ///< 0 = hardware concurrency (--threads N)
-  /// Event-driven trace replay (--incremental 0|1). On by default; 0 runs
-  /// the from-scratch windowed replay — output is bit-identical either way
-  /// (CI diffs the two).
-  bool incremental = true;
-  /// Word-parallel replay core (--packed 0|1). On by default; 0 restores
-  /// the per-node flip-list pipeline — output is bit-identical either way
-  /// (CI diffs the two).
-  bool packed = true;
   /// --trace-model poisson|physics|storm: which synthetic fault-trace
   /// family the fault benches replay (src/fault/generator.h Poisson draws
   /// vs src/fault/physics_generator.h degradation / degradation+storms).
   /// All three are calibrated to the paper's Appendix A statistics; output
-  /// stays byte-identical across threads/packed/incremental/shards within
-  /// any one model.
+  /// stays byte-identical across threads/shards within any one model.
   fault::TraceModel trace_model = fault::TraceModel::kPoisson;
   /// --metrics: enable the src/obs metrics registry; at exit, print the
   /// snapshot table to stderr and write metrics.json (into --csv dir when
@@ -77,10 +68,6 @@ inline const char* usage_text() {
       "  --csv <dir>         also write machine-readable CSV into <dir>\n"
       "  --trials N          override the bench's default trial count\n"
       "  --threads N         worker threads (default: hardware concurrency)\n"
-      "  --incremental 0|1   event-driven trace replay (default 1); output\n"
-      "                      is bit-identical either way\n"
-      "  --packed 0|1        word-parallel packed-mask replay (default 1);\n"
-      "                      output is bit-identical either way\n"
       "  --trace-model M     fault-trace family: poisson (default) | physics\n"
       "                      (degradation + thermal bursts) | storm (adds\n"
       "                      correlated blast-radius failures)\n"
@@ -106,8 +93,7 @@ inline const char* usage_text() {
   std::fprintf(stderr,
                "%s: %s\n"
                "usage: %s [--quick] [--csv <dir>] [--trials N] [--threads N] "
-               "[--incremental 0|1] [--packed 0|1] [--metrics] "
-               "[--trace-out <file>] [--help]\n%s",
+               "[--metrics] [--trace-out <file>] [--help]\n%s",
                prog, why.c_str(), prog, usage_text());
   std::exit(2);
 }
@@ -115,18 +101,9 @@ inline const char* usage_text() {
 [[noreturn]] inline void print_help(const char* prog) {
   std::printf(
       "usage: %s [--quick] [--csv <dir>] [--trials N] [--threads N] "
-      "[--incremental 0|1] [--packed 0|1] [--metrics] [--trace-out <file>] "
-      "[--help]\n%s",
+      "[--metrics] [--trace-out <file>] [--help]\n%s",
       prog, usage_text());
   std::exit(0);
-}
-
-inline bool parse_bool01(const char* prog, const std::string& flag,
-                         const char* text) {
-  const std::string value = text;
-  if (value != "0" && value != "1")
-    usage_error(prog, flag + " expects 0 or 1, got '" + value + "'");
-  return value == "1";
 }
 
 inline fault::TraceModel parse_trace_model(const char* prog,
@@ -195,13 +172,6 @@ inline Options parse_args(int argc, char** argv) {
     } else if (arg == "--threads") {
       if (++i >= argc) detail::usage_error(prog, "--threads expects a value");
       opt.threads = detail::parse_positive_int(prog, arg, argv[i]);
-    } else if (arg == "--incremental") {
-      if (++i >= argc)
-        detail::usage_error(prog, "--incremental expects 0 or 1");
-      opt.incremental = detail::parse_bool01(prog, arg, argv[i]);
-    } else if (arg == "--packed") {
-      if (++i >= argc) detail::usage_error(prog, "--packed expects 0 or 1");
-      opt.packed = detail::parse_bool01(prog, arg, argv[i]);
     } else if (arg == "--trace-model") {
       if (++i >= argc)
         detail::usage_error(prog, "--trace-model expects poisson|physics|storm");

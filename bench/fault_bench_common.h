@@ -15,7 +15,6 @@
 #include "src/fault/generator.h"
 #include "src/fault/physics_generator.h"
 #include "src/runtime/sweep.h"
-#include "src/runtime/thread_pool.h"
 #include "src/topo/baselines.h"
 #include "src/topo/waste.h"
 
@@ -65,20 +64,6 @@ inline bool arch_supports_tp(const topo::HbdArchitecture& arch, int tp) {
   return true;
 }
 
-/// Window layout of a nested cell-grid replay: when the grid alone
-/// saturates the pool there are no idle workers for a cell's window
-/// fan-out to recruit, and the single-window layout (0) is the cheapest
-/// incremental replay — one cursor/allocator alive over the whole trace
-/// per cell. With fewer cells than workers, windows are exactly what idle
-/// workers steal. Output is bit-identical for any window size, so this is
-/// purely a perf choice.
-inline std::size_t nested_window_samples(std::size_t cell_count,
-                                         const runtime::ThreadPool& pool) {
-  return cell_count >= static_cast<std::size_t>(pool.size())
-             ? 0
-             : topo::TraceReplayOptions{}.window_samples;
-}
-
 /// Sweep-identity salt for a trace: two replay grids over different traces
 /// (quick 60-day vs full 348-day, different clusters) must never share a
 /// shard run directory entry even though their cell grids match, so the
@@ -109,40 +94,29 @@ inline std::uint64_t trace_fingerprint(const fault::FaultTrace& trace) {
 }
 
 /// The (TP x architecture) trace-replay grid shared by Figs. 13, 15, 16 and
-/// 20, run on the generic sweep engine: one windowed trace replay per
-/// supported cell. BOTH fan-out levels share one work-stealing pool
-/// (--threads wide; 0 = the shared process pool): the sweep distributes
-/// cells, and each cell's window fan-out recruits idle workers — so a grid
-/// with fewer cells than cores no longer strands the rest of the machine.
+/// 20, run on the generic sweep engine: one incremental trace replay (one
+/// cursor walk over the whole trace) per supported cell, with the cells
+/// spread over --threads workers (0 = the shared process pool).
 /// Unsupported cells keep the default-constructed (empty) TraceWasteResult.
 /// The replay is deterministic, so the grid is bit-identical for any thread
-/// count AND for any `incremental` x `packed` setting (event-driven
-/// cursor+allocator replay vs from-scratch re-allocation; word-parallel
-/// packed masks vs per-node flip lists; CI diffs all combinations). The
-/// attached trace_waste_codec makes the grid shardable: under an ambient
-/// shard::ShardContext (bench --shard-dir, ihbd-sweepd) the cells spread
-/// across the fleet and the reduced grid is byte-identical to a local run.
+/// count. The attached trace_waste_codec makes the grid shardable: under an
+/// ambient shard::ShardContext (bench --shard-dir, ihbd-sweepd) the cells
+/// spread across the fleet and the reduced grid is byte-identical to a
+/// local run.
 inline runtime::GenericSweepResult<topo::TraceWasteResult> replay_trace_grid(
     const std::vector<std::unique_ptr<topo::HbdArchitecture>>& archs,
     const fault::FaultTrace& trace, std::vector<double> tps, int threads,
-    bool keep_samples = true, bool incremental = true, bool packed = true) {
+    bool keep_samples = true) {
   runtime::SweepSpec spec;
   spec.trials = 1;  // replay is deterministic; the grid itself is the work
   spec.keep_samples = keep_samples;
   spec.fingerprint_salt = trace_fingerprint(trace);
-  std::size_t supported_cells = 0;
-  for (const double tp : tps)
-    for (const auto& arch : archs)
-      if (arch_supports_tp(*arch, static_cast<int>(tp))) ++supported_cells;
   std::vector<std::string> arch_names;
   for (const auto& arch : archs) arch_names.push_back(arch->name());
   spec.axes = {
       runtime::Axis::of_values("TP", std::move(tps)),
       runtime::Axis::of_labels("Arch", std::move(arch_names)),
   };
-  const runtime::PoolRef pool(threads);
-  const std::size_t window_samples =
-      nested_window_samples(supported_cells, *pool);
   return runtime::run_sweep_reduce(
       spec, topo::TraceWasteResult{},
       [&](const runtime::Scenario& s, Rng&) -> topo::TraceWasteResult {
@@ -150,17 +124,13 @@ inline runtime::GenericSweepResult<topo::TraceWasteResult> replay_trace_grid(
         const auto& arch = *archs[s.index(1)];
         if (!arch_supports_tp(arch, tp)) return {};
         topo::TraceReplayOptions opts;
-        opts.pool = pool.get();  // nested fan-out on the sweep's own pool
-        opts.window_samples = window_samples;
         opts.keep_samples = s.spec().keep_samples;
-        opts.incremental = incremental;
-        opts.packed = packed;
         return topo::evaluate_waste_over_trace(arch, trace, tp, opts);
       },
       [](topo::TraceWasteResult& acc, topo::TraceWasteResult&& replay) {
         acc = std::move(replay);
       },
-      /*threads=*/0, pool.get(), &topo::trace_waste_codec());
+      threads, /*pool=*/nullptr, &topo::trace_waste_codec());
 }
 
 /// True when a replay-grid cell actually ran (unsupported cells are empty).

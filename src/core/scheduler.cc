@@ -1,11 +1,7 @@
 #include "src/core/scheduler.h"
 
-#include <algorithm>
-#include <unordered_map>
-
 #include "src/common/contracts.h"
 #include "src/common/error.h"
-#include "src/evsim/engine.h"
 
 namespace ihbd::core {
 
@@ -69,132 +65,6 @@ ScheduleResult simulate_schedule(const topo::HbdArchitecture& arch,
   }
 
   for (auto& l : live) result.outcomes.push_back(l.outcome);
-  return result;
-}
-
-ScheduleResult simulate_schedule_events(const topo::HbdArchitecture& arch,
-                                        const fault::FaultTrace& trace,
-                                        std::vector<JobRequest> jobs,
-                                        double step_days,
-                                        EventScheduleStats* stats) {
-  IHBD_EXPECTS(step_days > 0.0);
-  if (trace.node_count() != arch.node_count())
-    throw ConfigError("trace/architecture node count mismatch");
-  for (const auto& j : jobs) {
-    if (j.gpu_count <= 0 || j.gpu_count % j.tp_size_gpus != 0)
-      throw ConfigError("job GPU count must be a positive multiple of TP");
-  }
-
-  struct Live {
-    JobRequest request;
-    JobOutcome outcome;
-    double remaining_days;
-    bool was_running = false;
-    bool running = false;  ///< current decision's admission verdict
-  };
-  std::vector<Live> live;
-  live.reserve(jobs.size());
-  for (const auto& j : jobs) {
-    Live l;
-    l.request = j;
-    l.outcome.id = j.id;
-    l.outcome.submitted_day = 0.0;
-    l.remaining_days = j.run_days;
-    live.push_back(l);
-  }
-
-  // The oracle's day grid, enumerated with the identical serial `+= step`
-  // accumulation (sample_days' documented contract) so day values match
-  // the oracle's loop variable bit-for-bit.
-  const std::vector<double> days = trace.sample_days(step_days);
-  const std::size_t n_days = days.size();
-
-  // A grid day is a mask-change decision point iff some fault/repair edge
-  // first takes effect there (faulty_at picks up an edge at `day` from the
-  // first sample >= day).
-  std::vector<bool> mask_dirty(n_days, false);
-  if (n_days > 0) mask_dirty[0] = true;
-  for (const auto& tr : *trace.transition_timeline()) {
-    const auto it = std::lower_bound(days.begin(), days.end(), tr.day);
-    if (it != days.end())
-      mask_dirty[static_cast<std::size_t>(it - days.begin())] = true;
-  }
-
-  EventScheduleStats local_stats;
-  local_stats.grid_days = n_days;
-  ScheduleResult result;
-  const double total_gpus = arch.total_gpus();
-
-  // One decision + its constant-decision span. Returns the next decision
-  // index (n_days when the trace is exhausted).
-  auto run_span = [&](std::size_t di) -> std::size_t {
-    ++local_stats.decision_events;
-    const auto mask = trace.faulty_at(days[di]);
-    // Admission walk, identical to the oracle's per-day walk. usable_gpus
-    // is a pure function of (mask, TP size): memoize per TP size so mixed
-    // fleets cost one allocate() per distinct TP instead of one per job.
-    std::unordered_map<int, int> usable_by_tp;
-    int used_gpus = 0;
-    for (auto& l : live) {
-      if (l.remaining_days <= 0.0) continue;
-      const auto memo = usable_by_tp.find(l.request.tp_size_gpus);
-      int usable = 0;
-      if (memo != usable_by_tp.end()) {
-        usable = memo->second;
-      } else {
-        usable = arch.allocate(mask, l.request.tp_size_gpus).usable_gpus;
-        ++local_stats.allocate_calls;
-        usable_by_tp.emplace(l.request.tp_size_gpus, usable);
-      }
-      l.running = used_gpus + l.request.gpu_count <= usable;
-      if (l.running) {
-        used_gpus += l.request.gpu_count;
-        l.was_running = true;
-      } else if (l.was_running) {
-        ++l.outcome.preemptions;
-        l.was_running = false;
-      }
-    }
-
-    // Replay the dense per-day accumulations (global goodput adds in the
-    // oracle's day-major job order) until the decision could change: the
-    // next mask-change day or the day after a running job completes.
-    for (std::size_t x = di;; ++x) {
-      bool completed = false;
-      for (auto& l : live) {
-        if (l.remaining_days <= 0.0) continue;
-        if (l.running) {
-          l.remaining_days -= step_days;
-          result.goodput_gpu_days += l.request.gpu_count * step_days;
-          if (l.remaining_days <= 0.0) {
-            l.outcome.completed_day = days[x] + step_days;
-            completed = true;
-          }
-        } else {
-          l.outcome.waiting_days += step_days;
-        }
-      }
-      result.offered_gpu_days += total_gpus * step_days;
-      if (x + 1 >= n_days) return n_days;
-      if (completed || mask_dirty[x + 1]) return x + 1;
-    }
-  };
-
-  // Drive the spans as an event chain on the engine (time unit: days):
-  // each decision event computes its span and schedules the next decision
-  // at the exact grid day it lands on.
-  evsim::Engine engine;
-  std::function<void(std::size_t)> arm = [&](std::size_t di) {
-    engine.schedule_at(days[di], [&, di](evsim::Engine&) {
-      const std::size_t next = run_span(di);
-      if (next < n_days) arm(next);
-    });
-  };
-  if (n_days > 0) arm(0);
-  engine.run();
-
-  for (auto& l : live) result.outcomes.push_back(l.outcome);
-  if (stats) *stats = local_stats;
   return result;
 }
 

@@ -8,9 +8,6 @@
 // {word_index, xor_bits} deltas (WordDelta) that FaultMaskCursor emits and
 // the incremental allocators consume directly (see
 // FaultMaskCursor::advance_to_words and IncrementalAllocator::apply_words).
-// Packed words are also trivially serializable, which makes them the
-// natural wire state for the distributed-sweep sharding the ROADMAP targets
-// (see save_packed_mask / load_packed_mask in trace_io.h).
 //
 // Invariant: bits at positions >= size() in the last word are always zero
 // (the "tail" stays clear), so popcount() over raw words needs no masking
@@ -28,8 +25,7 @@ namespace ihbd::fault {
 
 /// One word-granular mask delta: XOR-ing `xor_bits` into word `word` flips
 /// exactly the nodes whose bits are set. A batch of WordDeltas (ascending
-/// `word`, each `xor_bits` nonzero) is the word-parallel replacement for a
-/// per-node flip list.
+/// `word`, each `xor_bits` nonzero) is one replay sample's mask change.
 struct WordDelta {
   int word = 0;
   std::uint64_t xor_bits = 0;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 #include <mutex>
 #include <tuple>
 
@@ -78,23 +77,6 @@ std::vector<double> FaultTrace::sample_days(double step_days) const {
   return days;
 }
 
-FaultTrace FaultTrace::slice(double start_day, double end_day) const {
-  IHBD_EXPECTS(start_day <= end_day);
-  std::vector<FaultEvent> overlapping;
-  for (const auto& e : events_) {
-    if (e.start_day > end_day) break;  // events_ sorted by start_day
-    if (e.end_day > start_day) overlapping.push_back(e);
-  }
-  // Clamp the slice's duration to just past end_day (nextafter keeps
-  // end_day itself inside `day < duration` sample loops and stays positive
-  // even for end_day == 0), so sample_days()/ratio_series() on a slice stop
-  // at the slice boundary instead of running over the full trace range.
-  const double sliced_duration =
-      std::min(duration_days_,
-               std::nextafter(end_day, std::numeric_limits<double>::infinity()));
-  return FaultTrace(node_count_, sliced_duration, std::move(overlapping));
-}
-
 std::vector<FaultTransition> FaultTrace::transitions() const {
   std::vector<FaultTransition> edges;
   edges.reserve(events_.size() * 2);
@@ -128,7 +110,7 @@ std::shared_ptr<const WordDeltaTimeline> FaultTrace::word_delta_timeline()
     const auto edges = transition_timeline();
     auto out = std::make_shared<WordDeltaTimeline>();
     // One active-interval walk over the whole timeline (the same counting
-    // FaultMaskCursor's per-node path does), folding each exact-day batch
+    // faulty_at() implies), folding each exact-day batch
     // into the net per-word XOR of its genuine bit changes.
     std::vector<int> active(static_cast<std::size_t>(node_count_), 0);
     PackedMask current(node_count_);
@@ -295,15 +277,6 @@ FaultTrace FaultTrace::remap_nodes(int new_node_count) const {
       out.push_back(e);
   }
   return FaultTrace(new_node_count, duration_days_, std::move(out));
-}
-
-std::vector<SampleWindow> split_windows(std::size_t n, std::size_t window) {
-  std::vector<SampleWindow> windows;
-  if (n == 0) return windows;
-  if (window == 0) window = n;
-  for (std::size_t begin = 0; begin < n; begin += window)
-    windows.push_back({begin, std::min(window, n - begin)});
-  return windows;
 }
 
 std::vector<bool> sample_fault_mask(int node_count, double ratio, Rng& rng) {

@@ -85,19 +85,8 @@ class FaultTrace {
 
   /// The replay sample times for a step: {0, step, 2*step, ...} below
   /// duration_days(), accumulated exactly as a serial `day += step` replay
-  /// loop would, so windowed replays enumerate bit-identical days.
+  /// loop would, so the incremental replay enumerates bit-identical days.
   std::vector<double> sample_days(double step_days) const;
-
-  /// Sub-trace restricted to the events overlapping the closed interval
-  /// [start_day, end_day]: faulty_at(d) on the slice matches the full trace
-  /// for every d in that range (masks for days before start_day are
-  /// meaningless). Node count is preserved; the slice's duration_days() is
-  /// clamped to just past end_day, so sample_days()/ratio_series() on a
-  /// slice stop at the slice boundary instead of iterating over the full
-  /// trace's range. This is the unit of work for the windowed parallel
-  /// replay in src/topo/waste.h (which enumerates days from the *full*
-  /// trace, so the clamp does not affect its sample sequence).
-  FaultTrace slice(double start_day, double end_day) const;
 
   /// The sorted transition timeline: one `down` edge per event start and
   /// one `up` edge per event end, ordered by (day, node, up-before-down).
@@ -109,8 +98,8 @@ class FaultTrace {
 
   /// Shared, lazily built view of transitions(): computed once per trace on
   /// first use (thread-safe; copies of the trace share the cache) so
-  /// repeated replays — every cell of a TP x architecture grid, every
-  /// window of a parallel replay — skip the timeline sort.
+  /// repeated replays — every cell of a TP x architecture grid — skip the
+  /// timeline sort.
   std::shared_ptr<const std::vector<FaultTransition>> transition_timeline()
       const;
 
@@ -118,7 +107,7 @@ class FaultTrace {
   /// one active-interval walk over the whole transition timeline, folded
   /// into per-day word-XOR groups. Cached like transition_timeline(), so
   /// the fold cost is paid once per trace no matter how many replay
-  /// cursors, windows or grid cells consume it.
+  /// cursors or grid cells consume it.
   std::shared_ptr<const WordDeltaTimeline> word_delta_timeline() const;
 
   /// Grid-aligned variant: the exact-day groups folded onto the sample grid
@@ -126,10 +115,10 @@ class FaultTrace {
   /// replay cursor bound to it applies at most ONE group per sample instead
   /// of re-folding every transition day in the step on every advance, for
   /// every cursor (the fold is paid once per trace x step and shared by all
-  /// windows and grid cells). Groups after the last sample day keep their
-  /// exact days. The folded masks are only correct ON the grid; the cursor
-  /// constructor taking a step documents the contract. Cached per distinct
-  /// step like the exact timeline.
+  /// grid cells). Groups after the last sample day keep their exact days.
+  /// The folded masks are only correct ON the grid; the cursor constructor
+  /// documents the contract. Cached per distinct step like the exact
+  /// timeline.
   std::shared_ptr<const WordDeltaTimeline> word_delta_timeline(
       double step_days) const;
 
@@ -164,18 +153,6 @@ class FaultTrace {
   std::vector<FaultEvent> events_;  // sorted by start_day
   std::shared_ptr<TimelineCache> timeline_cache_;  // filled on first use
 };
-
-/// A contiguous run of replay samples: indices [begin, begin + count) into
-/// a sample-day sequence (FaultTrace::sample_days).
-struct SampleWindow {
-  std::size_t begin = 0;
-  std::size_t count = 0;
-};
-
-/// Split `n` samples into consecutive windows of at most `window` samples
-/// (the last window may be short). window == 0 yields a single window
-/// spanning everything; n == 0 yields no windows.
-std::vector<SampleWindow> split_windows(std::size_t n, std::size_t window);
 
 /// Draw an i.i.d. faulty-node mask with an *exact* number of faulty nodes:
 /// round(node_count * ratio) distinct nodes chosen uniformly. Used for the

@@ -123,38 +123,4 @@ FaultTrace load_trace_csv_file(const std::string& path, int node_count,
   return load_trace_csv(in, node_count, duration_days);
 }
 
-void save_packed_mask(const PackedMask& mask, std::ostream& out) {
-  out << "packed-mask v1 " << mask.size();
-  const auto flags = out.flags();
-  out << std::hex;
-  for (int w = 0; w < mask.word_count(); ++w) out << ' ' << mask.word(w);
-  out.flags(flags);
-  out << '\n';
-}
-
-PackedMask load_packed_mask(std::istream& in) {
-  std::string tag, version;
-  int bits = -1;
-  if (!(in >> tag >> version >> bits) || tag != "packed-mask" ||
-      version != "v1" || bits < 0)
-    throw ConfigError("packed mask: malformed header");
-  PackedMask mask(bits);
-  for (int w = 0; w < mask.word_count(); ++w) {
-    std::string cell;
-    if (!(in >> cell)) throw ConfigError("packed mask: truncated words");
-    std::uint64_t word = 0;
-    try {
-      std::size_t used = 0;
-      word = std::stoull(cell, &used, 16);
-      if (used != cell.size()) throw std::invalid_argument(cell);
-    } catch (const std::exception&) {
-      throw ConfigError("packed mask: malformed word '" + cell + "'");
-    }
-    if ((word & ~mask.valid_mask(w)) != 0)
-      throw ConfigError("packed mask: set bit beyond declared size");
-    mask.apply_xor(w, word);
-  }
-  return mask;
-}
-
 }  // namespace ihbd::fault

@@ -13,7 +13,6 @@
 #include <iosfwd>
 #include <string>
 
-#include "src/fault/packed_mask.h"
 #include "src/fault/trace.h"
 
 namespace ihbd::fault {
@@ -32,15 +31,5 @@ FaultTrace load_trace_csv(std::istream& in, int node_count = 0,
                           double duration_days = 0.0);
 FaultTrace load_trace_csv_file(const std::string& path, int node_count = 0,
                                double duration_days = 0.0);
-
-/// Serialize a packed fault mask as one self-describing text line —
-/// `packed-mask v1 <bit_count> <hex word> ...` — the wire form a
-/// distributed sweep shard would exchange as its mask snapshot (packed
-/// words serialize as-is; no per-node expansion).
-void save_packed_mask(const PackedMask& mask, std::ostream& out);
-
-/// Parse a line produced by save_packed_mask. Throws ConfigError on a
-/// malformed line or a set bit beyond the declared bit count.
-PackedMask load_packed_mask(std::istream& in);
 
 }  // namespace ihbd::fault

@@ -27,44 +27,16 @@ CursorObs& cursor_obs() {
 
 }  // namespace
 
-FaultMaskCursor::FaultMaskCursor(const FaultTrace& trace)
-    : FaultMaskCursor(trace, trace.word_delta_timeline()) {}
-
 FaultMaskCursor::FaultMaskCursor(const FaultTrace& trace,
                                  double grid_step_days)
-    : FaultMaskCursor(trace, trace.word_delta_timeline(grid_step_days)) {}
-
-FaultMaskCursor::FaultMaskCursor(
-    const FaultTrace& trace, std::shared_ptr<const WordDeltaTimeline> words)
     : timeline_(trace.transition_timeline()),
-      words_(std::move(words)),
-      active_(static_cast<std::size_t>(trace.node_count()), 0),
+      words_(trace.word_delta_timeline(grid_step_days)),
       packed_(trace.node_count()),
-      mask_(static_cast<std::size_t>(trace.node_count()), false),
-      touch_stamp_(static_cast<std::size_t>(trace.node_count()), 0),
       word_xor_(static_cast<std::size_t>(packed_.word_count()), 0),
       word_stamp_(static_cast<std::size_t>(packed_.word_count()), 0),
       day_(-std::numeric_limits<double>::infinity()) {}
 
-void FaultMaskCursor::sync_mask() const {
-  if (mask_synced_) return;
-  for (int w = 0; w < packed_.word_count(); ++w) {
-    const int begin = w * PackedMask::kWordBits;
-    const int end = std::min(begin + PackedMask::kWordBits, packed_.size());
-    std::uint64_t bits = packed_.word(w);
-    for (int i = begin; i < end; ++i, bits >>= 1)
-      mask_[static_cast<std::size_t>(i)] = bits & 1;
-  }
-  mask_synced_ = true;
-}
-
-const std::vector<bool>& FaultMaskCursor::mask() const {
-  sync_mask();
-  return mask_;
-}
-
 std::size_t FaultMaskCursor::remaining() const {
-  // Position by day, not by engine index: exact whichever entry points ran.
   const auto it = std::upper_bound(
       timeline_->begin(), timeline_->end(), day_,
       [](double day, const FaultTransition& t) { return day < t.day; });
@@ -77,9 +49,6 @@ const std::vector<WordDelta>& FaultMaskCursor::advance_to_words(double day) {
   IHBD_EXPECTS(day >= day_);
   const WordDeltaTimeline& words = *words_;
   const std::size_t groups = words.days.size();
-  // Skip groups the per-node engine already applied (mixed use only; in
-  // pure word use this loop exits on its first comparison).
-  while (gnext_ < groups && words.days[gnext_] <= day_) ++gnext_;
   day_ = day;
   deltas_.clear();
   if (gnext_ >= groups || words.days[gnext_] > day) return deltas_;
@@ -87,7 +56,6 @@ const std::vector<WordDelta>& FaultMaskCursor::advance_to_words(double day) {
   do
     ++gnext_;
   while (gnext_ < groups && words.days[gnext_] <= day);
-  mask_synced_ = false;
   if (gnext_ - first == 1) {
     // Single group: its spans are already net, nonzero and word-ascending —
     // apply and emit them straight from the shared timeline.
@@ -130,49 +98,6 @@ const std::vector<WordDelta>& FaultMaskCursor::advance_to_words(double day) {
     o.xor_flips.add(flips);
   }
   return deltas_;
-}
-
-const std::vector<int>& FaultMaskCursor::advance_to(double day) {
-  IHBD_EXPECTS(day >= day_);
-  const std::vector<FaultTransition>& timeline = *timeline_;
-  // Catch the active-interval counts up past days the word engine already
-  // applied (their bit effects are in the mask; only the counts lag). Pure
-  // flip-list use exits this loop on its first comparison.
-  while (next_ < timeline.size() && timeline[next_].day <= day_) {
-    const FaultTransition& edge = timeline[next_++];
-    active_[static_cast<std::size_t>(edge.node)] += edge.down ? 1 : -1;
-  }
-  sync_mask();
-  day_ = day;
-  flipped_.clear();
-  if (next_ >= timeline.size() || timeline[next_].day > day) return flipped_;
-  touched_.clear();
-  // Apply every edge with edge.day <= day: the same comparisons faulty_at
-  // uses (start_day <= d for down, end_day <= d for up), so the resulting
-  // active-interval counts reproduce its mask exactly.
-  do {
-    const FaultTransition& edge = timeline[next_++];
-    const auto node = static_cast<std::size_t>(edge.node);
-    active_[node] += edge.down ? 1 : -1;
-    if (!touch_stamp_[node]) {
-      touch_stamp_[node] = 1;
-      touched_.push_back(edge.node);
-    }
-  } while (next_ < timeline.size() && timeline[next_].day <= day);
-  // Net flips only: a node touched by cancelling edges (zero-length event,
-  // same-day down+up, overlapping intervals) keeps its bit and reports
-  // nothing.
-  for (const int node : touched_) {
-    const auto i = static_cast<std::size_t>(node);
-    touch_stamp_[i] = 0;
-    const bool now_faulty = active_[i] > 0;
-    if (mask_[i] == now_faulty) continue;
-    mask_[i] = now_faulty;
-    packed_.flip(node);
-    flipped_.push_back(node);
-  }
-  std::sort(flipped_.begin(), flipped_.end());
-  return flipped_;
 }
 
 }  // namespace ihbd::fault

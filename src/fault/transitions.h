@@ -1,24 +1,13 @@
-// Event-driven fault-mask replay (the incremental tier of the trace
-// replay, see src/topo/waste.h).
+// Event-driven fault-mask replay cursor (see src/topo/waste.h).
 //
 // FaultTrace::faulty_at(day) rebuilds the whole mask by scanning events at
 // every sample; between two consecutive sample days, though, only the
 // handful of nodes with a transition in that interval actually change. The
-// FaultMaskCursor advances over the trace's transition structure and
-// reports exactly what flipped — the masks it exposes are bit-identical to
-// faulty_at() at every day.
-//
-// The cursor speaks both delta currencies through two independent engines:
-//   * advance_to() is the classic per-node pipeline (PRs 4-5): it walks the
-//     sorted transition timeline, counts active fault intervals per node,
-//     and reports a sorted flip list. Kept intact as the --packed 0 oracle
-//     tier.
-//   * advance_to_words() is the word-parallel core: it consumes the trace's
-//     pre-folded WordDeltaTimeline (per-day net word-XOR groups, cached
-//     once per trace), so advancing a sample step is a few word XORs —
-//     no per-node work at all — and emits {word_index, xor_bits} spans.
-// Both engines maintain the packed mask; the vector<bool> view is synced
-// lazily so the word path never pays for it.
+// FaultMaskCursor consumes the trace's grid-folded WordDeltaTimeline
+// (per-sample-day net word-XOR groups, cached once per trace x step), so
+// advancing a sample step is a few word XORs — no per-node work at all —
+// and it emits {word_index, xor_bits} spans. The packed mask it exposes is
+// bit-identical to faulty_at() at every grid day.
 #pragma once
 
 #include <cstddef>
@@ -29,18 +18,16 @@
 
 namespace ihbd::fault {
 
-/// Forward-only cursor over a trace's transitions.
+/// Forward-only cursor over a trace's transitions, aligned to the sample
+/// grid of one step.
 ///
-/// Both advance entry points apply every transition with
-/// `transition.day <= day` and report the net effect since the previous
-/// position — deduplicated and net of cancelling transitions, so a
-/// zero-length event or a same-day down+up pair reports nothing. Because a
-/// node is faulty while its count of active fault intervals is positive,
-/// mask() / packed_mask() equal trace.faulty_at(day) bit-for-bit, including
-/// on overlapping events and on FaultTrace::slice sub-traces (within the
-/// sliced day range). The entry points may be mixed on one cursor: each
-/// engine lazily catches its position up past days the other already
-/// applied.
+/// advance_to_words() applies every transition with `transition.day <= day`
+/// and reports the net effect since the previous position — deduplicated
+/// and net of cancelling transitions, so a zero-length event or a same-day
+/// down+up pair reports nothing. Because a node is faulty while its count
+/// of active fault intervals is positive, packed_mask() equals
+/// trace.packed_faulty_at(day) bit-for-bit on every grid day, including on
+/// overlapping events.
 ///
 /// Contract: the cursor is forward-only. `day` must be monotonically
 /// non-decreasing across advance calls (NaN is rejected too); a smaller day
@@ -49,20 +36,13 @@ namespace ihbd::fault {
 /// constructing a fresh cursor.
 class FaultMaskCursor {
  public:
-  /// Binds to trace.transition_timeline() and trace.word_delta_timeline(),
-  /// so cursors over the same trace (all windows of a replay, all cells of
-  /// a grid) share one sorted timeline and one word-delta fold.
-  explicit FaultMaskCursor(const FaultTrace& trace);
-
-  /// Grid-aligned cursor: binds the word engine to
-  /// trace.word_delta_timeline(grid_step_days), whose groups are pre-folded
-  /// per sample day — each replay sample then applies at most one group (the
-  /// per-step fold is paid once per trace x step, not once per cursor x
-  /// sample). Contract: every advance, through either entry point, must
-  /// land on a day of trace.sample_days(grid_step_days); between grid points
-  /// the word engine's mask would lag transitions already visible to
-  /// faulty_at(). The replay drivers (src/topo/waste.cc) sample strictly on
-  /// that grid, which is the intended user.
+  /// Binds to trace.word_delta_timeline(grid_step_days), whose groups are
+  /// pre-folded per sample day — each replay sample then applies at most
+  /// one group (the per-step fold is paid once per trace x step and shared
+  /// by every cursor over the same trace, e.g. all cells of a grid).
+  /// Contract: every advance must land on a day of
+  /// trace.sample_days(grid_step_days), or past the last one; between grid
+  /// points the mask would lag transitions already visible to faulty_at().
   FaultMaskCursor(const FaultTrace& trace, double grid_step_days);
 
   /// Advance to `day` (must be >= the previous call's day). Returns the
@@ -70,45 +50,23 @@ class FaultMaskCursor {
   /// ascending, every xor_bits nonzero. Valid until the next advance call.
   const std::vector<WordDelta>& advance_to_words(double day);
 
-  /// Advance to `day` (must be >= the previous call's day). Returns the
-  /// nodes whose faulty bit flipped, ascending; valid until the next
-  /// advance call.
-  const std::vector<int>& advance_to(double day);
-
-  /// Current fault mask; equals trace.faulty_at(day()) after an advance.
-  /// Synced lazily after word-path advances (first call pays one O(N)
-  /// unpack; pure flip-list use never resyncs).
-  const std::vector<bool>& mask() const;
-
-  /// Packed view of the same mask; always current whichever advance entry
-  /// point is used.
+  /// Current fault mask; equals trace.packed_faulty_at(day()) after an
+  /// advance.
   const PackedMask& packed_mask() const { return packed_; }
 
   /// The day of the last advance (-inf before the first call).
   double day() const { return day_; }
 
-  /// Transitions with day > day(): not yet applied through either entry
-  /// point. O(log E) on the sorted timeline, exact in mixed use too.
+  /// Transitions with day > day(): not yet applied. O(log E) on the
+  /// sorted timeline.
   std::size_t remaining() const;
 
  private:
-  FaultMaskCursor(const FaultTrace& trace,
-                  std::shared_ptr<const WordDeltaTimeline> words);
-
-  void sync_mask() const;
-
   std::shared_ptr<const std::vector<FaultTransition>> timeline_;
   std::shared_ptr<const WordDeltaTimeline> words_;
-  std::size_t next_ = 0;   // per-node engine: first unapplied timeline edge
-  std::size_t gnext_ = 0;  // word engine: first unapplied delta group
-  std::vector<int> active_;          // per-node engine: active intervals
-  PackedMask packed_;                // current mask, packed (always current)
-  mutable std::vector<bool> mask_;   // lazily synced vector<bool> view
-  mutable bool mask_synced_ = true;
+  std::size_t gnext_ = 0;            // first unapplied delta group
+  PackedMask packed_;                // current mask
   std::vector<WordDelta> deltas_;    // result buffer for advance_to_words
-  std::vector<int> flipped_;         // result buffer for advance_to
-  std::vector<int> touched_;         // scratch: nodes hit in current batch
-  std::vector<char> touch_stamp_;    // scratch: membership flag for touched_
   std::vector<std::uint64_t> word_xor_;  // scratch: per-word XOR accumulator
   std::vector<int> dirty_words_;     // scratch: words hit in current batch
   std::vector<char> word_stamp_;     // scratch: membership for dirty_words_

@@ -388,11 +388,10 @@ GenericSweepResult<Acc> run_sweep_sharded(const SweepSpec& spec, Acc init,
 /// results are bit-identical for any thread count.
 ///
 /// Execution substrate: an explicit `pool` wins (pass the SAME pool into
-/// any nested fan-out inside the trial — e.g. TraceReplayOptions::pool — so
-/// the work-stealing scheduler lets a cell's inner parallelism recruit idle
-/// sweep workers). With pool == nullptr, threads == 0 fans out on the
-/// process-wide ThreadPool::shared(); threads > 0 uses a dedicated
-/// transient pool of that width.
+/// any nested fan-out inside the trial, so the work-stealing scheduler lets
+/// a cell's inner parallelism recruit idle sweep workers). With pool ==
+/// nullptr, threads == 0 fans out on the process-wide ThreadPool::shared();
+/// threads > 0 uses a dedicated transient pool of that width.
 ///
 /// Distribution: when an ambient shard::ShardContext is installed
 /// (bench_util --shard-dir) AND `codec` is non-null, the sweep runs as

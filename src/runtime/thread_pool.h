@@ -1,8 +1,8 @@
 // Work-stealing task scheduler with true nested parallelism. The pool is
-// the execution substrate of the sweep engine (src/runtime/sweep.h) and of
-// the windowed trace replay (src/topo/waste.h); because both levels can
-// share ONE pool, a sweep over a few expensive cells no longer strands the
-// remaining cores — each cell's inner fan-out is stealable by idle workers.
+// the execution substrate of the sweep engine (src/runtime/sweep.h);
+// because nested fan-out levels can share ONE pool, a sweep over a few
+// expensive cells need not strand the remaining cores — each cell's inner
+// fan-out is stealable by idle workers.
 //
 // Design:
 //   * Every worker owns a deque of tasks. The owner pushes and pops at the
@@ -31,8 +31,8 @@
 //
 // When to pass an explicit pool vs shared(): shared() is the process-wide
 // lazily-created pool sized to the hardware — the right default for
-// everything that just wants the machine (and what the sweep engine and
-// trace replay use when given no pool). Construct a dedicated ThreadPool
+// everything that just wants the machine (and what the sweep engine uses
+// when given no pool). Construct a dedicated ThreadPool
 // only to pin a specific width (e.g. the benches' --threads N flag, or a
 // test that needs a 1-worker pool); pass that same pool to BOTH fan-out
 // levels so they cooperate instead of oversubscribing.
@@ -205,12 +205,11 @@ class ThreadPool {
 };
 
 /// Owns-or-borrows resolution of the stack-wide pool convention (the bench
-/// --threads flag, run_sweep*'s threads, TraceReplayOptions::threads): an
-/// explicit `pool` wins (borrowed); otherwise threads == 0 borrows the
-/// process-wide shared() pool and threads > 0 owns a dedicated pool of
-/// that width for the PoolRef's lifetime. The single home of this policy —
-/// the sweep engine, the trace replay and the benches all resolve through
-/// it instead of re-implementing the branches.
+/// --threads flag, run_sweep*'s threads): an explicit `pool` wins
+/// (borrowed); otherwise threads == 0 borrows the process-wide shared()
+/// pool and threads > 0 owns a dedicated pool of that width for the
+/// PoolRef's lifetime. The single home of this policy — the sweep engine
+/// resolves through it instead of re-implementing the branches.
 class PoolRef {
  public:
   explicit PoolRef(int threads, ThreadPool* pool = nullptr)

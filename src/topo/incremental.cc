@@ -13,16 +13,13 @@ namespace ihbd::topo {
 namespace {
 
 /// Incremental-allocator metrics (src/obs): how often each KHop flip tier
-/// fires, memoizing-fallback behaviour, per-island flip volume, and the
-/// dirty-word traffic of the packed path. All recording sits behind
-/// obs::enabled() so the allocators' O(1)/O(log N) hot paths are
-/// unperturbed by default.
+/// fires, per-island flip volume, and the dirty-word traffic. All recording
+/// sits behind obs::enabled() so the allocators' O(1)/O(log N) hot paths
+/// are unperturbed by default.
 struct AllocObs {
   obs::Counter& khop_residue_step;   ///< tier 1: unbroken-ring residue step
   obs::Counter& khop_arc_patch;      ///< tier 2: arc-interior length patch
   obs::Counter& khop_general;        ///< tier 3: window subtract/re-add
-  obs::Counter& memo_realloc;        ///< memoizing fallback full reallocs
-  obs::Counter& memo_hits;           ///< memoizing fallback cache hits
   obs::Counter& island_flips;        ///< per-island O(1) flips applied
   obs::Counter& dirty_words;         ///< word deltas consumed by apply_words
 };
@@ -31,89 +28,12 @@ AllocObs& alloc_obs() {
   static AllocObs o{obs::counter("alloc.khop.residue_step"),
                     obs::counter("alloc.khop.arc_patch"),
                     obs::counter("alloc.khop.general_window"),
-                    obs::counter("alloc.memo.reallocs"),
-                    obs::counter("alloc.memo.hits"),
                     obs::counter("alloc.island.flips"),
                     obs::counter("alloc.dirty_words")};
   return o;
 }
 
 }  // namespace
-
-// ---------------------------------------------------------------------------
-// IncrementalAllocator: default apply_words -> apply adapter
-// ---------------------------------------------------------------------------
-
-const Allocation& IncrementalAllocator::apply_words(
-    const fault::PackedMask& mask,
-    const std::vector<fault::WordDelta>& deltas) {
-  adapter_flips_.clear();
-  if (!adapter_initialized_ ||
-      static_cast<int>(adapter_mask_.size()) != mask.size()) {
-    adapter_mask_ = mask.to_bools();
-    adapter_initialized_ = true;
-  } else {
-    for (const fault::WordDelta& d : deltas) {
-      fault::for_each_set_bit(d.xor_bits, d.word, [&](int x) {
-        // Resync from `mask` instead of blind XOR: spurious delta bits
-        // (whose word already matches) then leave the mirror untouched.
-        const bool v = mask.test(x);
-        if (adapter_mask_[static_cast<std::size_t>(x)] == v) return;
-        adapter_mask_[static_cast<std::size_t>(x)] = v;
-        adapter_flips_.push_back(x);
-      });
-    }
-  }
-  return apply(adapter_mask_, adapter_flips_);
-}
-
-// ---------------------------------------------------------------------------
-// MemoizingAllocator
-// ---------------------------------------------------------------------------
-
-MemoizingAllocator::MemoizingAllocator(const HbdArchitecture& arch,
-                                       int tp_size_gpus)
-    : arch_(arch), tp_size_gpus_(tp_size_gpus) {
-  if (tp_size_gpus <= 0 || tp_size_gpus % arch.gpus_per_node() != 0)
-    throw ConfigError("TP size must be a positive multiple of GPUs/node");
-}
-
-const Allocation& MemoizingAllocator::apply(const std::vector<bool>& mask,
-                                            const std::vector<int>& flipped) {
-  if (!initialized_ || !flipped.empty()) {
-    alloc_ = arch_.allocate(mask, tp_size_gpus_);
-    initialized_ = true;
-    cached_mask_ = fault::PackedMask{};  // packed cache no longer current
-    if (obs::enabled()) alloc_obs().memo_realloc.add(1);
-  } else if (obs::enabled()) {
-    alloc_obs().memo_hits.add(1);
-  }
-  return alloc_;
-}
-
-const Allocation& MemoizingAllocator::apply_words(
-    const fault::PackedMask& mask,
-    const std::vector<fault::WordDelta>& deltas) {
-  // Spurious-delta filtering is a word compare against the cached mask.
-  bool changed = !initialized_ || cached_mask_.size() != mask.size();
-  if (!changed) {
-    for (const fault::WordDelta& d : deltas) {
-      if (mask.word(d.word) != cached_mask_.word(d.word)) {
-        changed = true;
-        break;
-      }
-    }
-  }
-  if (changed) {
-    alloc_ = arch_.allocate(mask, tp_size_gpus_);
-    cached_mask_ = mask;
-    initialized_ = true;
-    if (obs::enabled()) alloc_obs().memo_realloc.add(1);
-  } else if (obs::enabled()) {
-    alloc_obs().memo_hits.add(1);
-  }
-  return alloc_;
-}
 
 // ---------------------------------------------------------------------------
 // KHopRingIncrementalAllocator
@@ -447,23 +367,6 @@ void KHopRingIncrementalAllocator::fill_alloc() {
   alloc_.wasted_healthy_gpus = wasted_nodes_ * ring_.gpus_per_node();
 }
 
-const Allocation& KHopRingIncrementalAllocator::apply(
-    const std::vector<bool>& mask, const std::vector<int>& flipped) {
-  IHBD_EXPECTS(static_cast<int>(mask.size()) == n_);
-  if (!initialized_) {
-    healthy_ = fault::PackedMask::from_bools(mask).complement();
-    rebuild_from_healthy();
-  } else {
-    for (const int x : flipped) {
-      IHBD_EXPECTS(x >= 0 && x < n_);
-      // Tolerate spurious entries: only apply genuine bit changes.
-      if (healthy_.test(x) == mask[static_cast<std::size_t>(x)]) flip(x);
-    }
-  }
-  fill_alloc();
-  return alloc_;
-}
-
 const Allocation& KHopRingIncrementalAllocator::apply_words(
     const fault::PackedMask& mask,
     const std::vector<fault::WordDelta>& deltas) {
@@ -529,26 +432,6 @@ const Allocation& PerIslandAllocatorBase::finish() {
   alloc_.usable_gpus = (healthy_count_ - wasted) * gpus_per_node_;
   alloc_.wasted_healthy_gpus = wasted * gpus_per_node_;
   return alloc_;
-}
-
-const Allocation& PerIslandAllocatorBase::apply(
-    const std::vector<bool>& mask, const std::vector<int>& flipped) {
-  IHBD_EXPECTS(static_cast<int>(mask.size()) == n_);
-  if (!initialized_) {
-    initialize_from(fault::PackedMask::from_bools(mask));
-    return finish();
-  }
-  for (const int x : flipped) {
-    IHBD_EXPECTS(x >= 0 && x < n_);
-    // Tolerate spurious entries: only apply genuine bit changes.
-    const bool cur = faulty_.test(x);
-    if (cur == mask[static_cast<std::size_t>(x)]) continue;
-    faulty_.set(x, !cur);
-    healthy_count_ += cur ? 1 : -1;
-    island_flip(x, /*to_faulty=*/!cur);
-    if (obs::enabled()) alloc_obs().island_flips.add(1);
-  }
-  return finish();
 }
 
 const Allocation& PerIslandAllocatorBase::apply_words(
@@ -715,7 +598,8 @@ std::unique_ptr<IncrementalAllocator> make_incremental_allocator(
   }
   if (const auto* sip = dynamic_cast<const SipRing*>(&arch))
     return std::make_unique<SipRingIncrementalAllocator>(*sip, tp_size_gpus);
-  return std::make_unique<MemoizingAllocator>(arch, tp_size_gpus);
+  throw ConfigError("no incremental allocator for architecture '" +
+                    arch.name() + "'");
 }
 
 }  // namespace ihbd::topo

@@ -1,46 +1,39 @@
 #include "src/topo/waste.h"
 
-#include <algorithm>
 #include <bit>
-#include <cmath>
-#include <utility>
-
 #include <chrono>
+#include <cmath>
 #include <cstdint>
+#include <utility>
 
 #include "src/common/contracts.h"
 #include "src/fault/transitions.h"
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
-#include "src/runtime/thread_pool.h"
 #include "src/topo/incremental.h"
 
 namespace ihbd::topo {
 
 namespace {
 
-/// Replay metrics (src/obs): windows/samples replayed per tier, fault flips
-/// applied by the event-driven tier, merge cost, and the per-window
-/// throughput distribution. Recording is skipped unless obs is enabled and
-/// never touches replay results (byte-identical output on vs off).
+/// Replay metrics (src/obs): replays and samples, fault flips applied,
+/// summary-assembly cost, and the per-replay throughput distribution.
+/// Recording is skipped unless obs is enabled and never touches replay
+/// results (byte-identical output on vs off).
 struct ReplayObs {
-  obs::Counter& windows_scratch;     ///< from-scratch windows replayed
-  obs::Counter& windows_incremental; ///< event-driven windows replayed
-  obs::Counter& samples;             ///< samples replayed (all tiers)
-  obs::Counter& flips_applied;       ///< net fault flips fed to allocators
-  obs::Counter& merge_ns;            ///< fragment-merge wall time
-  obs::Counter& evaluations;         ///< evaluate_waste_over_trace calls
-  obs::Histogram& window_samples_per_s;  ///< per-window replay throughput
+  obs::Counter& samples;           ///< samples replayed
+  obs::Counter& flips_applied;     ///< net fault flips fed to allocators
+  obs::Counter& merge_ns;          ///< summary-assembly wall time
+  obs::Counter& evaluations;       ///< evaluate_waste_over_trace calls
+  obs::Histogram& samples_per_s;   ///< per-replay throughput
 };
 
 ReplayObs& replay_obs() {
-  static ReplayObs o{obs::counter("replay.windows_scratch"),
-                     obs::counter("replay.windows_incremental"),
-                     obs::counter("replay.samples"),
+  static ReplayObs o{obs::counter("replay.samples"),
                      obs::counter("replay.flips_applied"),
                      obs::counter("replay.merge_ns"),
                      obs::counter("replay.evaluations"),
-                     obs::histogram("replay.window_samples_per_s")};
+                     obs::histogram("replay.samples_per_s")};
   return o;
 }
 
@@ -51,66 +44,15 @@ std::uint64_t obs_elapsed_ns(std::chrono::steady_clock::time_point t0) {
           .count());
 }
 
-void append_series(TimeSeries& dst, TimeSeries&& src) {
-  if (dst.t.empty()) {
-    dst = std::move(src);
-    return;
-  }
-  dst.t.insert(dst.t.end(), src.t.begin(), src.t.end());
-  dst.v.insert(dst.v.end(), src.v.begin(), src.v.end());
-}
-
-}  // namespace
-
-void TraceWindowFragment::merge_next(TraceWindowFragment&& next) {
-  append_series(waste_ratio, std::move(next.waste_ratio));
-  append_series(usable_gpus, std::move(next.usable_gpus));
-  waste_acc.merge(next.waste_acc);
-}
-
-TraceWindowFragment replay_trace_window(const HbdArchitecture& arch,
-                                        const fault::FaultTrace& trace,
-                                        int tp_size_gpus,
-                                        const std::vector<double>& days,
-                                        const fault::SampleWindow& window,
-                                        bool keep_samples, bool packed) {
-  IHBD_EXPECTS(window.begin + window.count <= days.size());
-  IHBD_TRACE_SPAN("replay_window_scratch");
-  const bool obs_on = obs::enabled();
-  const auto t0 = obs_on ? std::chrono::steady_clock::now()
-                         : std::chrono::steady_clock::time_point{};
-  TraceWindowFragment frag;
-  frag.waste_acc.set_keep_samples(keep_samples);
-  for (std::size_t i = window.begin; i < window.begin + window.count; ++i) {
-    const double day = days[i];
-    // Packed and bool masks hold the same bits, and the packed allocate()
-    // overloads restate the same integer arithmetic, so the two branches
-    // are bit-identical.
-    const Allocation alloc =
-        packed ? arch.allocate(trace.packed_faulty_at(day), tp_size_gpus)
-               : arch.allocate(trace.faulty_at(day), tp_size_gpus);
-    const double waste = alloc.waste_ratio();
-    frag.waste_ratio.push(day, waste);
-    frag.usable_gpus.push(day, static_cast<double>(alloc.usable_gpus));
-    frag.waste_acc.add(waste);
-  }
-  if (obs_on) {
-    ReplayObs& o = replay_obs();
-    o.windows_scratch.add(1);
-    o.samples.add(window.count);
-    const double secs = static_cast<double>(obs_elapsed_ns(t0)) * 1e-9;
-    if (secs > 0.0)
-      o.window_samples_per_s.observe(static_cast<double>(window.count) / secs);
-  }
-  return frag;
-}
-
+/// One cursor walk over every sample day in `days` (= trace.sample_days(
+/// step_days)): the cursor's per-word XOR deltas feed an incremental
+/// allocator. The cursor's mask equals trace.faulty_at(day) bit-for-bit and
+/// the allocator's aggregates equal arch.allocate(mask, tp) on it, so the
+/// fragment matches the serial oracle exactly.
 TraceWindowFragment replay_trace_window_incremental(
     const HbdArchitecture& arch, const fault::FaultTrace& trace,
-    int tp_size_gpus, const std::vector<double>& days,
-    const fault::SampleWindow& window, double step_days, bool keep_samples,
-    bool packed) {
-  IHBD_EXPECTS(window.begin + window.count <= days.size());
+    int tp_size_gpus, const std::vector<double>& days, double step_days,
+    bool keep_samples) {
   IHBD_TRACE_SPAN("replay_window");
   const bool obs_on = obs::enabled();
   const auto t0 = obs_on ? std::chrono::steady_clock::now()
@@ -118,163 +60,47 @@ TraceWindowFragment replay_trace_window_incremental(
   std::uint64_t flips = 0;
   TraceWindowFragment frag;
   frag.waste_acc.set_keep_samples(keep_samples);
-  frag.waste_ratio.t.reserve(window.count);
-  frag.waste_ratio.v.reserve(window.count);
-  frag.usable_gpus.t.reserve(window.count);
-  frag.usable_gpus.v.reserve(window.count);
-  // The packed tier samples strictly on the step grid, so its cursor binds
-  // to the grid-folded word-delta timeline: at most one pre-folded group
-  // per sample instead of re-folding the step's transition days on every
-  // advance of every window's cursor.
-  fault::FaultMaskCursor cursor =
-      packed ? fault::FaultMaskCursor(trace, step_days)
-             : fault::FaultMaskCursor(trace);
-  // Every §6.1 architecture now gets a true incremental allocator (KHopRing
-  // arcs, per-island aggregates for the baselines); only out-of-tree
-  // architectures take the memoizing O(N)-per-transition fallback.
+  frag.waste_ratio.t.reserve(days.size());
+  frag.waste_ratio.v.reserve(days.size());
+  frag.usable_gpus.t.reserve(days.size());
+  frag.usable_gpus.v.reserve(days.size());
+  // The replay samples strictly on the step grid, so the cursor binds to
+  // the grid-folded word-delta timeline: at most one pre-folded group per
+  // sample.
+  fault::FaultMaskCursor cursor(trace, step_days);
   const auto allocator = make_incremental_allocator(arch, tp_size_gpus);
-  if (packed) {
-    // Word-parallel pipeline: per-word XOR spans from the cursor straight
-    // into the allocator's dirty-word path. A sample with no deltas cannot
-    // change the allocation, so the previous aggregates are re-emitted
-    // without even the virtual call — identical values either way.
-    double waste = 0.0;
-    double usable = 0.0;
-    bool have_alloc = false;
-    for (std::size_t i = window.begin; i < window.begin + window.count; ++i) {
-      const double day = days[i];
-      const std::vector<fault::WordDelta>& deltas =
-          cursor.advance_to_words(day);
-      if (!have_alloc || !deltas.empty()) {
-        if (obs_on)
-          for (const fault::WordDelta& d : deltas)
-            flips += static_cast<std::uint64_t>(std::popcount(d.xor_bits));
-        const Allocation& alloc =
-            allocator->apply_words(cursor.packed_mask(), deltas);
-        waste = alloc.waste_ratio();
-        usable = static_cast<double>(alloc.usable_gpus);
-        have_alloc = true;
-      }
-      frag.waste_ratio.push(day, waste);
-      frag.usable_gpus.push(day, usable);
-      frag.waste_acc.add(waste);
+  // A sample with no deltas cannot change the allocation, so the previous
+  // aggregates are re-emitted without even the virtual call — identical
+  // values either way.
+  double waste = 0.0;
+  double usable = 0.0;
+  bool have_alloc = false;
+  for (const double day : days) {
+    const std::vector<fault::WordDelta>& deltas =
+        cursor.advance_to_words(day);
+    if (!have_alloc || !deltas.empty()) {
+      if (obs_on)
+        for (const fault::WordDelta& d : deltas)
+          flips += static_cast<std::uint64_t>(std::popcount(d.xor_bits));
+      const Allocation& alloc =
+          allocator->apply_words(cursor.packed_mask(), deltas);
+      waste = alloc.waste_ratio();
+      usable = static_cast<double>(alloc.usable_gpus);
+      have_alloc = true;
     }
-  } else {
-    for (std::size_t i = window.begin; i < window.begin + window.count; ++i) {
-      const double day = days[i];
-      // The cursor's mask equals trace.faulty_at(day) bit-for-bit, and the
-      // allocator's aggregates equal arch.allocate(mask, tp) on it, so this
-      // fragment matches replay_trace_window exactly.
-      const std::vector<int>& flipped = cursor.advance_to(day);
-      flips += flipped.size();
-      const Allocation& alloc = allocator->apply(cursor.mask(), flipped);
-      const double waste = alloc.waste_ratio();
-      frag.waste_ratio.push(day, waste);
-      frag.usable_gpus.push(day, static_cast<double>(alloc.usable_gpus));
-      frag.waste_acc.add(waste);
-    }
+    frag.waste_ratio.push(day, waste);
+    frag.usable_gpus.push(day, usable);
+    frag.waste_acc.add(waste);
   }
   if (obs_on) {
     ReplayObs& o = replay_obs();
-    o.windows_incremental.add(1);
-    o.samples.add(window.count);
+    o.samples.add(days.size());
     o.flips_applied.add(flips);
     const double secs = static_cast<double>(obs_elapsed_ns(t0)) * 1e-9;
     if (secs > 0.0)
-      o.window_samples_per_s.observe(static_cast<double>(window.count) / secs);
+      o.samples_per_s.observe(static_cast<double>(days.size()) / secs);
   }
   return frag;
-}
-
-// The windowed replay is the same plan -> execute -> reduce shape as the
-// sweep engine (src/runtime/sweep.h), one level down: plan the window
-// partition, execute each window into a serializable TraceWindowFragment,
-// reduce the fragments in window order. The three named stages below keep
-// that boundary explicit.
-namespace {
-
-/// Plan: partition the sample-day sequence into replay windows.
-/// A single worker gains nothing from window splits; one window lets the
-/// incremental tier keep one cursor/allocator alive over the whole trace
-/// instead of fast-forwarding a fresh one per window. Output is identical
-/// for any window size, so this is purely a perf choice.
-std::vector<fault::SampleWindow> plan_replay_windows(
-    std::size_t sample_count, const TraceReplayOptions& options) {
-  runtime::ThreadPool* pool = options.pool;
-  const int workers = pool != nullptr ? pool->size()
-                      : options.threads == 0
-                          ? runtime::ThreadPool::default_threads()
-                          : options.threads;
-  const std::size_t window_samples =
-      options.incremental && workers == 1 ? 0 : options.window_samples;
-  return fault::split_windows(sample_count, window_samples);
-}
-
-/// Execute: replay every window into its fragment, fanning out on the pool.
-std::vector<TraceWindowFragment> execute_replay_windows(
-    const HbdArchitecture& arch, const fault::FaultTrace& trace,
-    int tp_size_gpus, const std::vector<double>& days,
-    const std::vector<fault::SampleWindow>& windows,
-    const TraceReplayOptions& options) {
-  std::vector<TraceWindowFragment> fragments(windows.size());
-  const auto replay_one = [&](std::size_t w) {
-    const auto& window = windows[w];
-    if (options.incremental) {
-      // The cursor walks the (shared, cached) transition timeline, so the
-      // full trace is passed directly — no per-window slice needed.
-      fragments[w] = replay_trace_window_incremental(
-          arch, trace, tp_size_gpus, days, window, options.step_days,
-          options.keep_samples, options.packed);
-    } else {
-      // Slicing bounds each worker's per-sample event scan to its own day
-      // range.
-      const fault::FaultTrace sliced = trace.slice(
-          days[window.begin], days[window.begin + window.count - 1]);
-      fragments[w] = replay_trace_window(arch, sliced, tp_size_gpus, days,
-                                         window, options.keep_samples,
-                                         options.packed);
-    }
-  };
-  runtime::ThreadPool* pool = options.pool;
-  const int workers = pool != nullptr ? pool->size()
-                      : options.threads == 0
-                          ? runtime::ThreadPool::default_threads()
-                          : options.threads;
-  if (workers == 1 || windows.size() <= 1) {
-    // Nothing to fan out: replay inline on the calling thread.
-    for (std::size_t w = 0; w < windows.size(); ++w) replay_one(w);
-  } else {
-    // PoolRef resolves to options.pool when given — the nested-parallel
-    // fast path: when the caller is itself a task on that pool (a sweep
-    // cell), the work-stealing scheduler hands these windows to idle
-    // workers and the blocked caller helps instead of sleeping.
-    const runtime::PoolRef ref(options.threads, pool);
-    ref->parallel_for(windows.size(), replay_one);
-  }
-  return fragments;
-}
-
-/// Reduce: merge fragments strictly in window order. The concatenated
-/// series and the sample-retaining accumulator then match the serial
-/// reference bit-for-bit regardless of thread count. (merge_next is
-/// associative, so a tree grouping would also do; the in-order fold is the
-/// canonical one.)
-TraceWasteResult reduce_replay_fragments(
-    std::vector<TraceWindowFragment> fragments) {
-  TraceWasteResult out;
-  if (fragments.empty()) return out;
-  IHBD_TRACE_SPAN("replay_merge");
-  const bool obs_on = obs::enabled();
-  const auto merge_t0 = obs_on ? std::chrono::steady_clock::now()
-                               : std::chrono::steady_clock::time_point{};
-  TraceWindowFragment merged = std::move(fragments.front());
-  for (std::size_t w = 1; w < fragments.size(); ++w)
-    merged.merge_next(std::move(fragments[w]));
-  if (obs_on) replay_obs().merge_ns.add(obs_elapsed_ns(merge_t0));
-  out.waste_ratio = std::move(merged.waste_ratio);
-  out.usable_gpus = std::move(merged.usable_gpus);
-  out.waste_summary = merged.waste_acc.summary();
-  return out;
 }
 
 }  // namespace
@@ -285,17 +111,24 @@ TraceWasteResult evaluate_waste_over_trace(const HbdArchitecture& arch,
                                            const TraceReplayOptions& options) {
   IHBD_EXPECTS(trace.node_count() == arch.node_count());
   IHBD_EXPECTS(options.step_days > 0.0);
-  IHBD_EXPECTS(options.threads >= 0);
 
   IHBD_TRACE_SPAN("replay_trace");
   replay_obs().evaluations.add(1);
 
-  const std::vector<double> days = trace.sample_days(options.step_days);
-  const std::vector<fault::SampleWindow> windows =
-      plan_replay_windows(days.size(), options);
-  std::vector<TraceWindowFragment> fragments = execute_replay_windows(
-      arch, trace, tp_size_gpus, days, windows, options);
-  return reduce_replay_fragments(std::move(fragments));
+  TraceWindowFragment frag = replay_trace_window_incremental(
+      arch, trace, tp_size_gpus, trace.sample_days(options.step_days),
+      options.step_days, options.keep_samples);
+
+  IHBD_TRACE_SPAN("replay_merge");
+  const bool obs_on = obs::enabled();
+  const auto merge_t0 = obs_on ? std::chrono::steady_clock::now()
+                               : std::chrono::steady_clock::time_point{};
+  TraceWasteResult out;
+  out.waste_ratio = std::move(frag.waste_ratio);
+  out.usable_gpus = std::move(frag.usable_gpus);
+  out.waste_summary = frag.waste_acc.summary();
+  if (obs_on) replay_obs().merge_ns.add(obs_elapsed_ns(merge_t0));
+  return out;
 }
 
 const runtime::shard::ShardCodec<TraceWasteResult>& trace_waste_codec() {

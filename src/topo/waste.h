@@ -2,30 +2,19 @@
 // over a fault trace or fault-ratio sweep, maximum supported job scale, and
 // job fault-waiting rate. Shared by Figs. 13-16 and 20-23 benches.
 //
-// Trace replay comes in three tiers:
-//   * evaluate_waste_over_trace(arch, trace, tp, step_days) — the serial
-//     reference: one pass over the sample days, re-allocating from scratch
-//     at each. Kept as the bit-equivalence oracle.
+// Trace replay has one production path and one test reference, and they
+// produce bit-identical output:
 //   * evaluate_waste_over_trace(arch, trace, tp, TraceReplayOptions) — the
-//     windowed parallel replay: the sample-day sequence is split into
-//     windows (fault::split_windows), each window replays a sliced
-//     sub-trace on a ThreadPool worker, and the per-window
-//     Accumulator/TimeSeries fragments merge in window order.
-//   * The same entry point with options.incremental (the default): each
-//     window walks the trace's transition timeline with a
-//     fault::FaultMaskCursor and patches a topo::IncrementalAllocator by
-//     fault deltas, so samples with no transitions never re-allocate and
-//     KHopRing windows update their healthy-arc state in O(log N) per
-//     transition (see incremental.h).
-//   * options.packed (the default, composing with either tier above):
-//     masks travel as fault::PackedMask and deltas as per-word XOR spans —
-//     the incremental tier runs cursor.advance_to_words() into
-//     IncrementalAllocator::apply_words(), the from-scratch tier allocates
-//     straight from trace.packed_faulty_at(). Off restores the
-//     vector<bool>/flip-list pipeline of PRs 4-5 for oracle comparisons.
-// All tiers produce bit-identical output for any thread count, window
-// size, incremental setting and packed setting (when keep_samples is true;
-// with it off the summary degrades to moments identically in every tier).
+//     incremental replay: one fault::FaultMaskCursor walks the trace's
+//     grid-folded word-delta timeline over every sample day and feeds the
+//     per-word XOR deltas to a topo::IncrementalAllocator, so samples with
+//     no transitions never re-allocate (see incremental.h). Parallelism
+//     lives one level up, across the cells of a sweep grid.
+//   * evaluate_waste_over_trace(arch, trace, tp, step_days) — the serial
+//     oracle: one pass over the sample days, re-allocating from scratch at
+//     each. Kept as the bit-equivalence reference for tests.
+// With keep_samples off, the incremental replay's summary degrades to
+// moments (percentile fields = mean); the series are unchanged.
 #pragma once
 
 #include <cstddef>
@@ -37,10 +26,6 @@
 #include "src/runtime/accumulate.h"
 #include "src/runtime/shard.h"
 #include "src/topo/hbd.h"
-
-namespace ihbd::runtime {
-class ThreadPool;
-}  // namespace ihbd::runtime
 
 namespace ihbd::topo {
 
@@ -58,84 +43,33 @@ struct TraceWasteResult {
 /// byte-identical to the single-process one.
 const runtime::shard::ShardCodec<TraceWasteResult>& trace_waste_codec();
 
-/// Tuning knobs of the windowed parallel replay.
+/// Options of the incremental replay.
 struct TraceReplayOptions {
   double step_days = 1.0;
-  /// Replay fan-out width when no `pool` is given: 0 fans windows out on
-  /// the process-wide runtime::ThreadPool::shared(); 1 replays inline on
-  /// the calling thread; >1 uses a dedicated transient pool of that width.
-  int threads = 0;
-  /// Fan windows out on this pool instead (threads is then ignored, except
-  /// that a 1-worker pool still replays inline). Pass the pool that is
-  /// already running the enclosing sweep: the work-stealing scheduler lets
-  /// the window fan-out of one sweep cell recruit idle sweep workers
-  /// (nested parallelism) instead of serializing.
-  runtime::ThreadPool* pool = nullptr;
-  /// Samples per parallel window (0 = one window spanning the trace).
-  std::size_t window_samples = 64;
-  /// Retain per-sample values inside the merged waste summary so its
-  /// percentiles are exact. false bounds memory to O(series) — the summary
-  /// degrades to moments (percentile fields = mean), the series are kept.
+  /// Retain per-sample values inside the waste summary so its percentiles
+  /// are exact. false bounds memory to O(series) — the summary degrades to
+  /// moments (percentile fields = mean), the series are kept.
   bool keep_samples = true;
-  /// Replay each window event-driven (cursor + incremental allocator)
-  /// instead of re-allocating from scratch at every sample. Bit-identical
-  /// either way; off exists for oracle comparisons and CI diff jobs.
-  bool incremental = true;
-  /// Run the replay word-parallel: packed masks and per-word XOR deltas
-  /// end-to-end (see packed_mask.h). Bit-identical either way; off
-  /// restores the per-node flip pipeline for oracle comparisons and CI
-  /// diff jobs.
-  bool packed = true;
 };
 
-/// One window's fragment of a trace replay. merge_next() appends the
-/// fragment of the immediately following window; the operation is
-/// associative, so fragments may be combined pairwise in any tree shape as
-/// long as window order is preserved.
+/// The incremental replay's per-sample output before the summary is
+/// assembled: both series plus the waste accumulator.
 struct TraceWindowFragment {
   TimeSeries waste_ratio;
   TimeSeries usable_gpus;
   runtime::Accumulator waste_acc;
-
-  void merge_next(TraceWindowFragment&& next);
 };
 
-/// Replay the samples days[window.begin .. window.begin+window.count) of
-/// `trace` (typically a FaultTrace::slice covering just that day range),
-/// re-allocating from scratch at every sample.
-TraceWindowFragment replay_trace_window(const HbdArchitecture& arch,
-                                        const fault::FaultTrace& trace,
-                                        int tp_size_gpus,
-                                        const std::vector<double>& days,
-                                        const fault::SampleWindow& window,
-                                        bool keep_samples = true,
-                                        bool packed = true);
-
-/// Event-driven variant of replay_trace_window: advances a
-/// fault::FaultMaskCursor across the window's sample days and feeds the
-/// flip deltas to a topo::IncrementalAllocator. Bit-identical fragment.
-/// Unlike the from-scratch variant this is normally handed the FULL trace
-/// (the cursor fast-forwards to the window start over the trace's shared
-/// cached timeline; no per-window slice is needed), though a slice
-/// covering the window also works. `step_days` must be the step that
-/// produced `days` (= trace.sample_days(step_days)): the packed tier binds
-/// its cursor to the trace's grid-folded word-delta timeline for that step.
-TraceWindowFragment replay_trace_window_incremental(
-    const HbdArchitecture& arch, const fault::FaultTrace& trace,
-    int tp_size_gpus, const std::vector<double>& days,
-    const fault::SampleWindow& window, double step_days,
-    bool keep_samples = true, bool packed = true);
-
-/// Windowed parallel replay of `trace` against `arch` with TP size
-/// `tp_size_gpus`; see the header comment for the determinism contract.
+/// Incremental replay of `trace` against `arch` with TP size
+/// `tp_size_gpus`, bit-identical to the serial oracle below.
 TraceWasteResult evaluate_waste_over_trace(const HbdArchitecture& arch,
                                            const fault::FaultTrace& trace,
                                            int tp_size_gpus,
                                            const TraceReplayOptions& options);
 
 /// Serial reference replay, sampling every `step_days`. Kept as the
-/// bit-equivalence oracle for the windowed replay (tests) and for callers
-/// that want no thread machinery.
+/// bit-equivalence oracle for the incremental replay (tests) and for
+/// callers that want the simplest possible loop.
 TraceWasteResult evaluate_waste_over_trace(const HbdArchitecture& arch,
                                            const fault::FaultTrace& trace,
                                            int tp_size_gpus,

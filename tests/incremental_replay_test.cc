@@ -1,22 +1,28 @@
-// Event-driven incremental replay (src/fault/transitions.h +
-// src/topo/incremental.h): transition-cursor semantics (zero-length events,
-// same-day up/down, overlapping intervals, slice boundaries, the
-// monotonicity contract, word-delta equivalence), the KHopRing incremental
-// allocator's arc maintenance against allocate(), the word-parallel
-// apply_words paths against the flip-list paths, and the randomized
-// end-to-end property that the incremental replay is bit-identical to the
-// serial evaluate_waste_over_trace oracle across architectures, TP sizes
-// and the packed toggle.
+// Incremental replay (src/fault/transitions.h + src/topo/incremental.h):
+// grid-cursor semantics (zero-length events, same-day up/down, overlapping
+// intervals, the monotonicity contract, word-delta equivalence), the KHop
+// and per-island allocators' apply_words against allocate() (single-bit,
+// multi-bit and spurious deltas), the allocator dispatch, and the property
+// that the incremental replay — alone and as the benches' replay grid — is
+// bit-identical to the serial evaluate_waste_over_trace oracle across
+// architectures, TP sizes, steps and Poisson/physics/storm traces.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <limits>
+#include <map>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "bench/fault_bench_common.h"
+#include "src/common/error.h"
 #include "src/common/rng.h"
+#include "src/common/serde.h"
 #include "src/fault/generator.h"
 #include "src/fault/packed_mask.h"
+#include "src/fault/physics_generator.h"
 #include "src/fault/trace.h"
 #include "src/fault/transitions.h"
 #include "src/topo/baselines.h"
@@ -65,28 +71,13 @@ TEST(TransitionTimeline, SortedAndComplete) {
 
 // --- cursor semantics -----------------------------------------------------
 
-TEST(FaultMaskCursor, MatchesFaultyAtOnGeneratedTrace) {
-  const auto trace = gen_trace(96, 45.0, 11);
-  fault::FaultMaskCursor cursor(trace);
-  std::vector<bool> replayed(static_cast<std::size_t>(trace.node_count()),
-                             false);
-  for (const double day : trace.sample_days(0.25)) {
-    const auto& flipped = cursor.advance_to(day);
-    // The reported flips alone must transform the previous mask into the
-    // current one (no silent changes, no spurious reports).
-    for (const int node : flipped) {
-      const auto i = static_cast<std::size_t>(node);
-      replayed[i] = !replayed[i];
-    }
-    EXPECT_EQ(cursor.mask(), trace.faulty_at(day)) << "day " << day;
-    EXPECT_EQ(replayed, cursor.mask()) << "day " << day;
-  }
-  // Edges past the last sample day (repairs completing after the trace
-  // window) may remain; advancing past every event drains the timeline and
-  // clears the mask.
-  cursor.advance_to(std::numeric_limits<double>::max());
-  EXPECT_EQ(cursor.remaining(), 0u);
-  for (const bool faulty : cursor.mask()) EXPECT_FALSE(faulty);
+/// The nodes a batch of word deltas flips, ascending.
+std::vector<int> expand(const std::vector<fault::WordDelta>& deltas) {
+  std::vector<int> nodes;
+  for (const auto& d : deltas)
+    fault::for_each_set_bit(d.xor_bits, d.word,
+                            [&](int i) { nodes.push_back(i); });
+  return nodes;
 }
 
 TEST(FaultMaskCursor, ZeroLengthAndSameDayAndOverlappingEvents) {
@@ -99,110 +90,63 @@ TEST(FaultMaskCursor, ZeroLengthAndSameDayAndOverlappingEvents) {
       5, 6.0,
       {{0, 2.0, 2.0}, {1, 1.0, 3.0}, {1, 2.0, 5.0}, {2, 1.0, 2.0},
        {2, 2.0, 4.0}, {3, 0.0, 2.0}});
-  fault::FaultMaskCursor cursor(trace);
+  fault::FaultMaskCursor cursor(trace, 1.0);
 
-  EXPECT_EQ(cursor.advance_to(0.0), (std::vector<int>{3}));
-  EXPECT_EQ(cursor.advance_to(1.0), (std::vector<int>{1, 2}));
+  EXPECT_EQ(expand(cursor.advance_to_words(0.0)), (std::vector<int>{3}));
+  EXPECT_EQ(expand(cursor.advance_to_words(1.0)), (std::vector<int>{1, 2}));
   // Day 2: node 0's zero-length event cancels itself, node 1 stays down
   // (second interval active), node 2's up+down cancel, node 3 comes up.
-  EXPECT_EQ(cursor.advance_to(2.0), (std::vector<int>{3}));
-  EXPECT_EQ(cursor.mask(),
+  EXPECT_EQ(expand(cursor.advance_to_words(2.0)), (std::vector<int>{3}));
+  EXPECT_EQ(cursor.packed_mask().to_bools(),
             (std::vector<bool>{false, true, true, false, false}));
-  EXPECT_EQ(cursor.advance_to(3.0), (std::vector<int>{}));  // 1 still overlapped
-  EXPECT_EQ(cursor.advance_to(4.0), (std::vector<int>{2}));
-  EXPECT_EQ(cursor.advance_to(5.0), (std::vector<int>{1}));
-  for (int node = 0; node < 5; ++node)
-    EXPECT_FALSE(cursor.mask()[static_cast<std::size_t>(node)]);
+  EXPECT_EQ(cursor.packed_mask().to_bools(), trace.faulty_at(2.0));
+  // 1 still overlapped
+  EXPECT_EQ(expand(cursor.advance_to_words(3.0)), (std::vector<int>{}));
+  EXPECT_EQ(expand(cursor.advance_to_words(4.0)), (std::vector<int>{2}));
+  EXPECT_EQ(expand(cursor.advance_to_words(5.0)), (std::vector<int>{1}));
+  EXPECT_EQ(cursor.packed_mask().popcount(), 0);
   // Repeated advance to the same day is a no-op.
-  EXPECT_TRUE(cursor.advance_to(5.0).empty());
-}
-
-TEST(FaultMaskCursor, WordDeltasMatchFaultyAt) {
-  const auto trace = gen_trace(96, 45.0, 11);
-  fault::FaultMaskCursor cursor(trace);
-  fault::PackedMask replayed(trace.node_count());
-  for (const double day : trace.sample_days(0.25)) {
-    const auto& deltas = cursor.advance_to_words(day);
-    int prev_word = -1;
-    for (const auto& d : deltas) {
-      // Contract: ascending word index, nonzero XOR bits, no tail bits.
-      EXPECT_GT(d.word, prev_word) << "day " << day;
-      EXPECT_NE(d.xor_bits, 0u) << "day " << day;
-      prev_word = d.word;
-      replayed.apply_xor(d.word, d.xor_bits);
-    }
-    EXPECT_EQ(cursor.packed_mask(), trace.packed_faulty_at(day))
-        << "day " << day;
-    EXPECT_EQ(replayed, cursor.packed_mask()) << "day " << day;
-    // The bool mirror stays in sync with the packed mask.
-    EXPECT_EQ(cursor.mask(), cursor.packed_mask().to_bools()) << "day " << day;
-  }
+  EXPECT_TRUE(cursor.advance_to_words(5.0).empty());
 }
 
 TEST(FaultMaskCursor, GridAlignedCursorMatchesFaultyAt) {
-  // The grid constructor binds the word engine to the per-sample-day folded
-  // timeline (FaultTrace::word_delta_timeline(step)); on the grid it must
-  // be indistinguishable from the exact-day cursor — including a fresh
-  // cursor fast-forwarded to a mid-grid day, the window-start case where
-  // the whole prefix folds in one multi-group advance.
+  // The cursor binds to the per-sample-day folded timeline
+  // (FaultTrace::word_delta_timeline(step)); on the grid it must match
+  // faulty_at() — including a fresh cursor fast-forwarded to a mid-grid
+  // day, where the whole prefix folds in one multi-group advance.
   const auto trace = gen_trace(96, 45.0, 11);
   for (const double step : {1.0, 0.25, 0.7}) {
     SCOPED_TRACE(step);
     const auto days = trace.sample_days(step);
     fault::FaultMaskCursor cursor(trace, step);
+    fault::PackedMask replayed(trace.node_count());
     for (const double day : days) {
       const auto& deltas = cursor.advance_to_words(day);
       int prev_word = -1;
       for (const auto& d : deltas) {
+        // Contract: ascending word index, nonzero XOR bits.
         EXPECT_GT(d.word, prev_word) << "day " << day;
         EXPECT_NE(d.xor_bits, 0u) << "day " << day;
         prev_word = d.word;
+        // The reported deltas alone must transform the previous mask into
+        // the current one (no silent changes, no spurious reports).
+        replayed.apply_xor(d.word, d.xor_bits);
       }
-      EXPECT_EQ(cursor.packed_mask(), trace.packed_faulty_at(day))
+      EXPECT_EQ(cursor.packed_mask().to_bools(), trace.faulty_at(day))
           << "day " << day;
+      EXPECT_EQ(replayed, cursor.packed_mask()) << "day " << day;
     }
-    // Window start: jump a fresh grid cursor straight to the middle.
+    // Edges past the last sample day (repairs completing after the trace
+    // window) may remain; advancing past every event drains the timeline
+    // and clears the mask.
+    cursor.advance_to_words(std::numeric_limits<double>::max());
+    EXPECT_EQ(cursor.remaining(), 0u);
+    EXPECT_EQ(cursor.packed_mask().popcount(), 0);
+    // Jump a fresh grid cursor straight to the middle.
     const double mid = days[days.size() / 2];
     fault::FaultMaskCursor jumped(trace, step);
     jumped.advance_to_words(mid);
     EXPECT_EQ(jumped.packed_mask(), trace.packed_faulty_at(mid));
-    // Beyond the last grid day the exact-day tail groups still apply.
-    jumped.advance_to_words(std::numeric_limits<double>::max());
-    EXPECT_EQ(jumped.packed_mask().popcount(), 0);
-  }
-}
-
-TEST(FaultMaskCursor, EntryPointsInterleave) {
-  // Both advance entry points share one timeline walk, so a caller may mix
-  // them; each reports exactly the flips since the previous advance.
-  const auto trace = gen_trace(96, 45.0, 11);
-  fault::FaultMaskCursor words_cursor(trace);
-  fault::FaultMaskCursor mixed_cursor(trace);
-  bool use_words = false;
-  for (const double day : trace.sample_days(0.5)) {
-    words_cursor.advance_to_words(day);
-    if (use_words)
-      mixed_cursor.advance_to_words(day);
-    else
-      mixed_cursor.advance_to(day);
-    use_words = !use_words;
-    EXPECT_EQ(mixed_cursor.packed_mask(), words_cursor.packed_mask())
-        << "day " << day;
-    EXPECT_EQ(mixed_cursor.mask(), words_cursor.mask()) << "day " << day;
-  }
-}
-
-TEST(FaultMaskCursor, FlipListMatchesWordDeltaExpansion) {
-  const auto trace = gen_trace(64, 30.0, 19);
-  fault::FaultMaskCursor flips_cursor(trace);
-  fault::FaultMaskCursor words_cursor(trace);
-  for (const double day : trace.sample_days(1.0)) {
-    const std::vector<int> flipped = flips_cursor.advance_to(day);
-    std::vector<int> expanded;
-    for (const auto& d : words_cursor.advance_to_words(day))
-      fault::for_each_set_bit(d.xor_bits, d.word,
-                              [&](int i) { expanded.push_back(i); });
-    EXPECT_EQ(flipped, expanded) << "day " << day;
   }
 }
 
@@ -214,26 +158,16 @@ using FaultMaskCursorDeathTest = ::testing::Test;
 TEST(FaultMaskCursorDeathTest, RejectsNonMonotonicAdvance) {
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
   const auto trace = gen_trace(32, 20.0, 23);
-  fault::FaultMaskCursor cursor(trace);
-  cursor.advance_to(10.0);
-  EXPECT_DEATH(cursor.advance_to(9.5), "day >= day_");
+  fault::FaultMaskCursor cursor(trace, 0.5);
+  cursor.advance_to_words(10.0);
+  EXPECT_DEATH(cursor.advance_to_words(9.5), "day >= day_");
   EXPECT_DEATH(cursor.advance_to_words(0.0), "day >= day_");
   // NaN never satisfies day >= day_, so it is rejected too.
-  EXPECT_DEATH(cursor.advance_to(std::numeric_limits<double>::quiet_NaN()),
-               "day >= day_");
+  EXPECT_DEATH(
+      cursor.advance_to_words(std::numeric_limits<double>::quiet_NaN()),
+      "day >= day_");
   // Equal day remains a legal no-op.
-  EXPECT_TRUE(cursor.advance_to(10.0).empty());
-}
-
-TEST(FaultMaskCursor, SliceBoundariesMatchTheFullTrace) {
-  const auto trace = gen_trace(64, 40.0, 3);
-  const double lo = 12.0, hi = 23.0;
-  const auto sliced = trace.slice(lo, hi);
-  fault::FaultMaskCursor cursor(sliced);
-  for (double day = lo; day <= hi; day += 0.5) {
-    cursor.advance_to(day);
-    EXPECT_EQ(cursor.mask(), trace.faulty_at(day)) << "day " << day;
-  }
+  EXPECT_TRUE(cursor.advance_to_words(10.0).empty());
 }
 
 // --- KHopRing incremental allocator vs allocate() -------------------------
@@ -246,6 +180,30 @@ void expect_same_aggregates(const Allocation& a, const Allocation& b,
   EXPECT_EQ(a.wasted_healthy_gpus, b.wasted_healthy_gpus) << what;
 }
 
+/// The single-bit delta flipping node `x`.
+std::vector<fault::WordDelta> single_bit(int x) {
+  return {{x / fault::PackedMask::kWordBits,
+           std::uint64_t{1} << (x % fault::PackedMask::kWordBits)}};
+}
+
+/// Flip each of `nodes` in `mask` and return deltas claiming every listed
+/// node changed: one word-ascending entry per touched word, its bits the OR
+/// of the listed nodes' bits (multi-bit when several land in one word). A
+/// node listed twice nets out of the mask yet stays claimed — a spurious
+/// flip the allocators must tolerate.
+std::vector<fault::WordDelta> flip_nodes(fault::PackedMask& mask,
+                                         const std::vector<int>& nodes) {
+  std::map<int, std::uint64_t> claimed;
+  for (const int x : nodes) {
+    mask.flip(x);
+    claimed[x / fault::PackedMask::kWordBits] |=
+        std::uint64_t{1} << (x % fault::PackedMask::kWordBits);
+  }
+  std::vector<fault::WordDelta> deltas;
+  for (const auto& [word, bits] : claimed) deltas.push_back({word, bits});
+  return deltas;
+}
+
 TEST(KHopRingIncremental, RandomFlipSequencesMatchAllocate) {
   Rng rng(1234);
   for (const bool ring_variant : {true, false}) {
@@ -256,23 +214,17 @@ TEST(KHopRingIncremental, RandomFlipSequencesMatchAllocate) {
         const KHopRing ring(n, g, k, ring_variant);
         KHopRingIncrementalAllocator inc(ring, m * g);
         // Start from a random mask, then walk 400 random flip batches.
-        std::vector<bool> mask(static_cast<std::size_t>(n), false);
-        for (auto&& bit : mask) bit = rng.bernoulli(0.2);
-        std::vector<int> flipped;
-        inc.apply(mask, flipped);
+        fault::PackedMask mask(n);
+        for (int i = 0; i < n; ++i) mask.set(i, rng.bernoulli(0.2));
+        inc.apply_words(mask, {});
         for (int step = 0; step < 400; ++step) {
-          flipped.clear();
+          std::vector<int> flipped;
           const int batch = 1 + static_cast<int>(rng.uniform_index(3));
-          for (int b = 0; b < batch; ++b) {
-            const int x = static_cast<int>(rng.uniform_index(n));
-            mask[static_cast<std::size_t>(x)] =
-                !mask[static_cast<std::size_t>(x)];
-            flipped.push_back(x);
-          }
-          // A node flipped twice in one batch nets out; drop both entries
-          // the way a cursor would (the allocator must also tolerate them,
-          // so leave them in on odd steps).
-          const auto& got = inc.apply(mask, flipped);
+          for (int b = 0; b < batch; ++b)
+            flipped.push_back(static_cast<int>(rng.uniform_index(n)));
+          // A node flipped twice in one batch nets out but stays claimed:
+          // the allocator must skip it.
+          const auto& got = inc.apply_words(mask, flip_nodes(mask, flipped));
           const auto want = ring.allocate(mask, m * g);
           expect_same_aggregates(
               got, want,
@@ -290,19 +242,18 @@ TEST(KHopRingIncremental, ExtremeMasksMatchAllocate) {
   for (const bool ring_variant : {true, false}) {
     const KHopRing ring(n, g, 2, ring_variant);
     KHopRingIncrementalAllocator inc(ring, tp);
-    std::vector<bool> mask(static_cast<std::size_t>(n), false);
-    std::vector<int> flipped;
-    inc.apply(mask, flipped);  // all healthy
+    fault::PackedMask mask(n);
+    inc.apply_words(mask, {});  // all healthy
     // Take every node down one by one, then bring them all back.
     for (int x = 0; x < n; ++x) {
-      mask[static_cast<std::size_t>(x)] = true;
-      const auto& got = inc.apply(mask, {x});
+      mask.set(x, true);
+      const auto& got = inc.apply_words(mask, single_bit(x));
       expect_same_aggregates(got, ring.allocate(mask, tp),
                              "down x=" + std::to_string(x));
     }
     for (int x = n - 1; x >= 0; --x) {
-      mask[static_cast<std::size_t>(x)] = false;
-      const auto& got = inc.apply(mask, {x});
+      mask.set(x, false);
+      const auto& got = inc.apply_words(mask, single_bit(x));
       expect_same_aggregates(got, ring.allocate(mask, tp),
                              "up x=" + std::to_string(x));
     }
@@ -365,22 +316,18 @@ TEST(BaselineIncremental, RandomFlipSequencesMatchAllocate) {
   // (128), and m larger than the whole cluster (640).
   for (const int tp : {8, 64, 128, 640}) {
     for (auto& c : baseline_cases(n, g, tp)) {
-      std::vector<bool> mask(static_cast<std::size_t>(n), false);
-      for (auto&& bit : mask) bit = rng.bernoulli(0.15);
-      std::vector<int> flipped;
-      c.allocator->apply(mask, flipped);
+      fault::PackedMask mask(n);
+      for (int i = 0; i < n; ++i) mask.set(i, rng.bernoulli(0.15));
+      c.allocator->apply_words(mask, {});
       for (int step = 0; step < 400; ++step) {
-        flipped.clear();
+        std::vector<int> flipped;
         const int batch = 1 + static_cast<int>(rng.uniform_index(3));
-        for (int b = 0; b < batch; ++b) {
-          const int x = static_cast<int>(rng.uniform_index(n));
-          mask[static_cast<std::size_t>(x)] =
-              !mask[static_cast<std::size_t>(x)];
-          flipped.push_back(x);
-        }
-        // Double flips of one node stay in the list: the allocator must
-        // tolerate spurious (net-zero) entries.
-        const auto& got = c.allocator->apply(mask, flipped);
+        for (int b = 0; b < batch; ++b)
+          flipped.push_back(static_cast<int>(rng.uniform_index(n)));
+        // Double flips of one node stay claimed: the allocator must
+        // tolerate spurious (net-zero) bits.
+        const auto& got =
+            c.allocator->apply_words(mask, flip_nodes(mask, flipped));
         const auto want = c.arch->allocate(mask, tp);
         expect_same_aggregates(got, want,
                                c.arch->name() + " tp=" + std::to_string(tp) +
@@ -394,25 +341,26 @@ TEST(BaselineIncremental, DegenerateMasksMatchAllocate) {
   const int n = 144, g = 4;
   for (const int tp : {32, 128}) {
     for (auto& c : baseline_cases(n, g, tp)) {
-      std::vector<bool> mask(static_cast<std::size_t>(n), false);
-      std::vector<int> flipped;
+      fault::PackedMask mask(n);
       // All healthy, then take one island (the first 18 nodes — one NVL-72
       // island, more than one TPUv4 cube span) fully down node by node,
       // then the whole cluster down, then everything back up.
-      expect_same_aggregates(c.allocator->apply(mask, flipped),
+      expect_same_aggregates(c.allocator->apply_words(mask, {}),
                              c.arch->allocate(mask, tp),
                              c.arch->name() + " all-healthy");
       for (int x = 0; x < n; ++x) {
-        mask[static_cast<std::size_t>(x)] = true;
+        mask.set(x, true);
         expect_same_aggregates(
-            c.allocator->apply(mask, {x}), c.arch->allocate(mask, tp),
+            c.allocator->apply_words(mask, single_bit(x)),
+            c.arch->allocate(mask, tp),
             c.arch->name() + " tp=" + std::to_string(tp) + " down x=" +
                 std::to_string(x));
       }
       for (int x = n - 1; x >= 0; --x) {
-        mask[static_cast<std::size_t>(x)] = false;
+        mask.set(x, false);
         expect_same_aggregates(
-            c.allocator->apply(mask, {x}), c.arch->allocate(mask, tp),
+            c.allocator->apply_words(mask, single_bit(x)),
+            c.arch->allocate(mask, tp),
             c.arch->name() + " tp=" + std::to_string(tp) + " up x=" +
                 std::to_string(x));
       }
@@ -421,20 +369,20 @@ TEST(BaselineIncremental, DegenerateMasksMatchAllocate) {
 }
 
 TEST(BaselineIncremental, InitializesFromDegenerateFirstMask) {
-  // First apply() seeds wholesale from the mask: start from all-faulty and
-  // from one-island-down instead of from all-healthy.
+  // The first apply_words() seeds wholesale from the mask: start from
+  // all-faulty and from one-island-down instead of from all-healthy.
   const int n = 144, g = 4, tp = 32;
   for (const bool all_faulty : {true, false}) {
     for (auto& c : baseline_cases(n, g, tp)) {
-      std::vector<bool> mask(static_cast<std::size_t>(n), all_faulty);
-      if (!all_faulty)  // exactly one NVL-36 island (9 nodes) fully down
-        for (int x = 0; x < 9; ++x) mask[static_cast<std::size_t>(x)] = true;
+      fault::PackedMask mask(n);
+      for (int x = 0; x < (all_faulty ? n : 9); ++x)  // 9 = one NVL-36 island
+        mask.set(x, true);
       expect_same_aggregates(
-          c.allocator->apply(mask, {}), c.arch->allocate(mask, tp),
+          c.allocator->apply_words(mask, {}), c.arch->allocate(mask, tp),
           c.arch->name() + (all_faulty ? " all-faulty" : " island-down"));
       // One repair out of the degenerate state.
-      mask[0] = false;
-      expect_same_aggregates(c.allocator->apply(mask, {0}),
+      mask.set(0, false);
+      expect_same_aggregates(c.allocator->apply_words(mask, single_bit(0)),
                              c.arch->allocate(mask, tp),
                              c.arch->name() + " first repair");
     }
@@ -451,20 +399,46 @@ TEST(BaselineIncremental, DispatchCoversEveryPaperArchitecture) {
   for (const auto& arch : archs) {
     for (const int tp : {8, 64, 128}) {
       const auto allocator = make_incremental_allocator(*arch, tp);
-      std::vector<bool> mask(static_cast<std::size_t>(nodes), false);
-      for (auto&& bit : mask) bit = rng.bernoulli(0.1);
-      expect_same_aggregates(allocator->apply(mask, {}),
+      fault::PackedMask mask(nodes);
+      for (int i = 0; i < nodes; ++i) mask.set(i, rng.bernoulli(0.1));
+      expect_same_aggregates(allocator->apply_words(mask, {}),
                              arch->allocate(mask, tp),
                              arch->name() + " tp=" + std::to_string(tp));
       for (int step = 0; step < 32; ++step) {
         const int x = static_cast<int>(rng.uniform_index(nodes));
-        mask[static_cast<std::size_t>(x)] = !mask[static_cast<std::size_t>(x)];
+        mask.flip(x);
         expect_same_aggregates(
-            allocator->apply(mask, {x}), arch->allocate(mask, tp),
+            allocator->apply_words(mask, single_bit(x)),
+            arch->allocate(mask, tp),
             arch->name() + " tp=" + std::to_string(tp) + " step " +
                 std::to_string(step));
       }
     }
+  }
+}
+
+/// A test-local architecture the allocator dispatch does not know.
+class UnknownArchitecture : public HbdArchitecture {
+ public:
+  using HbdArchitecture::allocate;
+  std::string name() const override { return "Unknown-HBD"; }
+  int node_count() const override { return 64; }
+  int gpus_per_node() const override { return 4; }
+  Allocation allocate(const fault::PackedMask& faulty,
+                      int tp_size_gpus) const override {
+    check_args(faulty, tp_size_gpus);
+    return {};
+  }
+};
+
+TEST(BaselineIncremental, DispatchRejectsArchitectureWithoutAllocator) {
+  const UnknownArchitecture arch;
+  try {
+    make_incremental_allocator(arch, 8);
+    FAIL() << "expected ConfigError";
+  } catch (const ConfigError& e) {
+    EXPECT_NE(std::string(e.what()).find("Unknown-HBD"), std::string::npos)
+        << e.what();
   }
 }
 
@@ -495,8 +469,7 @@ std::vector<fault::WordDelta> random_word_batch(fault::PackedMask& mask,
 
 TEST(ApplyWords, RandomWordBatchesMatchAllocate) {
   // Every allocator the dispatch hands out (KHop word-Fenwick, the
-  // per-island baselines, TPUv4's pooled regime) plus the memoizing
-  // fallback and the KHop allocator driven directly: word deltas in,
+  // per-island baselines, TPUv4's pooled regime): word deltas in,
   // aggregates bit-identical to a from-scratch allocate().
   Rng rng(9999);
   const int n = 144, g = 4;
@@ -506,9 +479,6 @@ TEST(ApplyWords, RandomWordBatchesMatchAllocate) {
     auto ring = std::make_unique<KHopRing>(n, g, 2);
     auto ring_alloc = std::make_unique<KHopRingIncrementalAllocator>(*ring, tp);
     cases.push_back({std::move(ring), std::move(ring_alloc), tp});
-    auto bs = std::make_unique<BigSwitch>(n, g);
-    auto memo = std::make_unique<MemoizingAllocator>(*bs, tp);
-    cases.push_back({std::move(bs), std::move(memo), tp});
   }
   for (auto& c : cases) {
     fault::PackedMask mask(n);
@@ -528,7 +498,7 @@ TEST(ApplyWords, RandomWordBatchesMatchAllocate) {
 
 TEST(ApplyWords, ToleratesSpuriousDeltas) {
   // A delta whose word already matches the mask (net-zero change) must be
-  // ignored, mirroring the flip-list paths' spurious-flip filtering.
+  // ignored.
   const int n = 144, g = 4, tp = 32;
   for (auto& c : baseline_cases(n, g, tp)) {
     fault::PackedMask mask(n);
@@ -581,33 +551,77 @@ TEST(ApplyWords, DegenerateMasksMatchAllocate) {
 
 // --- end-to-end: incremental replay vs serial oracle ----------------------
 
+/// Poisson (two seeds), physics and storm traces over 60 days on `nodes`
+/// nodes. The physics families are generated at their calibrated 375-node
+/// size, then normalized to 4-GPU nodes and remapped like the benches' sim
+/// trace; storms flip whole racks and power domains on one day, across
+/// word boundaries.
+std::vector<std::pair<std::string, fault::FaultTrace>> oracle_traces(
+    int nodes) {
+  std::vector<std::pair<std::string, fault::FaultTrace>> traces;
+  for (const std::uint64_t seed : {1ull, 42ull})
+    traces.emplace_back("poisson seed=" + std::to_string(seed),
+                        gen_trace(nodes, 60.0, seed));
+  for (const bool storm : {false, true}) {
+    fault::PhysicsTraceConfig cfg = storm ? fault::storm_trace_defaults()
+                                          : fault::physics_trace_defaults();
+    cfg.duration_days = 60.0;
+    Rng split(91);
+    traces.emplace_back(storm ? "storm" : "physics",
+                        fault::generate_physics_trace(cfg)
+                            .split_to_half_nodes(split)
+                            .remap_nodes(nodes));
+  }
+  return traces;
+}
+
+std::string codec_bytes(const TraceWasteResult& r) {
+  serde::Writer w;
+  trace_waste_codec().save(w, r);
+  return w.take();
+}
+
 TEST(IncrementalReplay, BitIdenticalToSerialOracleAcrossArchitectures) {
   // 144 nodes x 4 GPUs = 576 GPUs: the smallest cluster every paper
   // architecture (incl. NVL-576) accepts.
   const int nodes = 144;
-  for (const std::uint64_t seed : {1ull, 42ull}) {
-    const auto trace = gen_trace(nodes, 60.0, seed);
-    auto archs = make_paper_architectures(nodes, 4);
-    archs.push_back(std::make_unique<KHopRing>(nodes, 4, 2, /*ring=*/false));
+  auto archs = make_paper_architectures(nodes, 4);
+  archs.push_back(std::make_unique<KHopRing>(nodes, 4, 2, /*ring=*/false));
+  // 128 exercises TPUv4's pooled regime and NVL-36/72 whole-island waste
+  // through the full replay stack, not just the allocator units.
+  const std::vector<double> tps{8, 32, 64, 128};
+  for (const auto& [label, trace] : oracle_traces(nodes)) {
+    ASSERT_EQ(trace.node_count(), nodes) << label;
     for (const auto& arch : archs) {
-      // 128 exercises TPUv4's pooled regime and NVL-36/72 whole-island
-      // waste through the full replay stack, not just the allocator units.
-      for (const int tp : {8, 32, 64, 128}) {
-        const auto serial = evaluate_waste_over_trace(*arch, trace, tp, 1.0);
-        for (const std::size_t window : {1ul, 16ul, 0ul}) {
-          for (const bool packed : {false, true}) {
-            TraceReplayOptions opts;
-            opts.threads = 2;
-            opts.window_samples = window;
-            opts.incremental = true;
-            opts.packed = packed;
-            SCOPED_TRACE(arch->name() + " tp=" + std::to_string(tp) +
-                         " window=" + std::to_string(window) + " seed=" +
-                         std::to_string(seed) + " packed=" +
-                         std::to_string(packed));
-            expect_same_result(
-                serial, evaluate_waste_over_trace(*arch, trace, tp, opts));
-          }
+      for (const double tp : tps) {
+        for (const double step : {1.0, 0.25}) {
+          SCOPED_TRACE(label + " " + arch->name() + " tp=" +
+                       std::to_string(static_cast<int>(tp)) +
+                       " step=" + std::to_string(step));
+          TraceReplayOptions opts;
+          opts.step_days = step;
+          expect_same_result(
+              evaluate_waste_over_trace(*arch, trace, static_cast<int>(tp),
+                                        step),
+              evaluate_waste_over_trace(*arch, trace, static_cast<int>(tp),
+                                        opts));
+        }
+      }
+    }
+    // The benches' replay grid, cell by cell against the oracle in the
+    // shard codec's bytes (unsupported cells stay empty).
+    for (const int threads : {1, 4}) {
+      const auto grid = bench::replay_trace_grid(archs, trace, tps, threads);
+      for (std::size_t t = 0; t < tps.size(); ++t) {
+        for (std::size_t a = 0; a < archs.size(); ++a) {
+          const int tp = static_cast<int>(tps[t]);
+          const TraceWasteResult want =
+              bench::arch_supports_tp(*archs[a], tp)
+                  ? evaluate_waste_over_trace(*archs[a], trace, tp, 1.0)
+                  : TraceWasteResult{};
+          EXPECT_EQ(codec_bytes(grid.cell({t, a})), codec_bytes(want))
+              << label << " threads=" << threads << " "
+              << archs[a]->name() << " tp=" << tp;
         }
       }
     }
@@ -620,9 +634,6 @@ TEST(IncrementalReplay, BitIdenticalOnFractionalStep) {
   const auto serial = evaluate_waste_over_trace(ring, trace, 16, 0.7);
   TraceReplayOptions opts;
   opts.step_days = 0.7;
-  opts.threads = 4;
-  opts.window_samples = 5;
-  opts.incremental = true;
   expect_same_result(serial, evaluate_waste_over_trace(ring, trace, 16, opts));
 }
 

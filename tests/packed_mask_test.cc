@@ -7,13 +7,10 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <sstream>
 #include <vector>
 
-#include "src/common/error.h"
 #include "src/common/rng.h"
 #include "src/fault/packed_mask.h"
-#include "src/fault/trace_io.h"
 
 namespace ihbd::fault {
 namespace {
@@ -185,42 +182,6 @@ TEST(PackedMask, EqualityIsValueEquality) {
   // Same prefix, different size: not equal.
   EXPECT_NE(a, PackedMask(130));
   EXPECT_NE(PackedMask(64), PackedMask(65));
-}
-
-TEST(PackedMask, WireRoundTrip) {
-  Rng rng(606);
-  for (const int n : kSizes) {
-    for (const double p : {0.0, 0.3, 1.0}) {
-      const PackedMask mask = PackedMask::from_bools(random_bools(n, p, rng));
-      std::stringstream wire;
-      save_packed_mask(mask, wire);
-      EXPECT_EQ(load_packed_mask(wire), mask) << "n=" << n << " p=" << p;
-    }
-  }
-}
-
-TEST(PackedMask, WireRejectsMalformedInput) {
-  {
-    std::stringstream in("not-a-mask v1 8 0");
-    EXPECT_THROW(load_packed_mask(in), ConfigError);
-  }
-  {
-    std::stringstream in("packed-mask v2 8 0");
-    EXPECT_THROW(load_packed_mask(in), ConfigError);
-  }
-  {
-    std::stringstream in("packed-mask v1 128 ff");  // one word missing
-    EXPECT_THROW(load_packed_mask(in), ConfigError);
-  }
-  {
-    std::stringstream in("packed-mask v1 8 xyz");
-    EXPECT_THROW(load_packed_mask(in), ConfigError);
-  }
-  {
-    // Bit 8 set in an 8-bit mask: beyond the declared size.
-    std::stringstream in("packed-mask v1 8 100");
-    EXPECT_THROW(load_packed_mask(in), ConfigError);
-  }
 }
 
 }  // namespace
