@@ -11,8 +11,8 @@ namespace ihbd::ctrl {
 namespace {
 
 constexpr double kSecondsPerDay = 86400.0;
-constexpr const char* kHbdSession = "hbd";
-constexpr const char* kParkSession = "park";
+const std::string kHbdSession = "hbd";
+const std::string kParkSession = "park";
 
 dcn::FatTree make_tree(const ControlPlaneConfig& cfg) {
   dcn::FatTreeConfig tree;
@@ -110,10 +110,10 @@ ControlPlaneResult ControlPlaneResult::load(serde::Reader& r) {
 
 ControlPlane::ControlPlane(const ControlPlaneConfig& cfg,
                            const fault::FaultTrace& trace,
-                           std::vector<JobArrival> arrivals)
+                           const std::vector<JobArrival>& arrivals)
     : cfg_(cfg),
       trace_(trace),
-      arrivals_(std::move(arrivals)),
+      arrivals_(arrivals),
       fat_tree_(make_tree(cfg)),
       orch_(fat_tree_, cfg.k, cfg.gpus_per_node),
       inc_(orch_,
@@ -156,38 +156,36 @@ ControlPlane::ControlPlane(const ControlPlaneConfig& cfg,
   }
   queue_ = ocstrx::ReconfigQueue(cfg.reconfig_batch, cfg.retry, cfg.inject);
 
+  const auto nodes = static_cast<std::size_t>(cfg.node_count);
+  free_by_first_.assign(nodes, free_list_.end());
+  owner_of_first_.assign(nodes, -1);
+  waiter_of_node_.assign(nodes, -1);
+
   // Seed the free pool from the healthy placement, in placement order
   // (aligned groups first — jobs consume alignment-preserving capacity
   // before the shifted spill-over).
   for (const auto& g : inc_.placement().groups) add_free_group(g.group.nodes);
-
-  jobs_.reserve(arrivals_.size());
-  for (const auto& a : arrivals_) {
-    Job j;
-    j.arrival = a;
-    j.pending_since = a.day;
-    jobs_.push_back(std::move(j));
-  }
 }
 
-void ControlPlane::add_free_group(const std::vector<int>& nodes) {
-  free_list_.push_back(nodes);
-  free_by_first_.emplace(nodes.front(), std::prev(free_list_.end()));
+void ControlPlane::add_free_group(std::vector<int> nodes) {
+  const auto first = static_cast<std::size_t>(nodes.front());
+  free_list_.push_back(std::move(nodes));
+  free_by_first_[first] = std::prev(free_list_.end());
 }
 
 bool ControlPlane::take_free_group(std::vector<int>& out) {
   if (free_list_.empty()) return false;
   out = std::move(free_list_.front());
-  free_by_first_.erase(out.front());
+  free_by_first_[static_cast<std::size_t>(out.front())] = free_list_.end();
   free_list_.pop_front();
   return true;
 }
 
 void ControlPlane::remove_free_group(int first_node) {
-  const auto it = free_by_first_.find(first_node);
-  IHBD_EXPECTS(it != free_by_first_.end());
-  free_list_.erase(it->second);
-  free_by_first_.erase(it);
+  auto& it = free_by_first_[static_cast<std::size_t>(first_node)];
+  IHBD_EXPECTS(it != free_list_.end());
+  free_list_.erase(it);
+  it = free_list_.end();
 }
 
 void ControlPlane::arm_drain() {
@@ -201,8 +199,8 @@ void ControlPlane::enqueue_reconfig(int node, const std::string& session,
                                     int waiter_job) {
   queue_.enqueue(node, session, engine_.now());
   if (waiter_job >= 0) {
-    waiter_of_node_[node] = waiter_job;
-    ++jobs_[static_cast<std::size_t>(waiter_job)].outstanding_reconfigs;
+    waiter_of_node_[static_cast<std::size_t>(node)] = waiter_job;
+    ++job_by_id(waiter_job).outstanding_reconfigs;
   }
   result_.peak_reconfig_depth =
       std::max(result_.peak_reconfig_depth,
@@ -214,7 +212,7 @@ void ControlPlane::on_drain() {
   static obs::Histogram& h_latency =
       obs::histogram("ctrl.reconfig_latency_seconds");
   static obs::Gauge& g_depth = obs::gauge("ctrl.reconfig_queue_depth");
-  const auto outcomes = queue_.drain_batch(fleet_, engine_.now(), rng_);
+  const auto& outcomes = queue_.drain_batch(fleet_, engine_.now(), rng_);
   ++result_.reconfig_batches;
   for (const auto& oc : outcomes) {
     if (oc.ok()) {
@@ -230,16 +228,16 @@ void ControlPlane::on_drain() {
     // job stays on its last good placement) and the coalescing key stays
     // live inside the queue.
     if (oc.will_retry) continue;
-    const auto waiter = waiter_of_node_.find(oc.request.node);
-    if (waiter != waiter_of_node_.end()) {
-      Job& job = jobs_[static_cast<std::size_t>(waiter->second)];
-      waiter_of_node_.erase(waiter);
+    int& waiter = waiter_of_node_[static_cast<std::size_t>(oc.request.node)];
+    if (waiter >= 0) {
+      Job& job = job_by_id(waiter);
+      waiter = -1;
       // Giving up on a steer does not block the job: it starts anyway,
       // marked degraded so its wait lands in the degraded SLO split.
       if (!oc.ok()) job.degraded = true;
       if (--job.outstanding_reconfigs == 0 &&
           job.state == JobState::kStarting) {
-        begin_running(job.arrival.id);
+        begin_running(job.arrival->id);
       }
     }
   }
@@ -249,10 +247,10 @@ void ControlPlane::on_drain() {
 }
 
 void ControlPlane::on_arrival(std::size_t index) {
-  Job& job = jobs_[index];
-  job.state = JobState::kPending;
+  Job& job = jobs_.emplace_back();
+  job.arrival = &arrivals_[index];
   job.pending_since = engine_.now();
-  pending_.push_back(job.arrival.id);  // arrivals come in id order
+  pending_.push_back(job.arrival->id);  // arrivals come in id order
   ++result_.arrivals;
   result_.peak_pending_jobs = std::max(
       result_.peak_pending_jobs, static_cast<std::uint64_t>(pending_.size()));
@@ -273,8 +271,8 @@ void ControlPlane::try_admit() {
        it != pending_.end() && scanned < cfg_.backfill_window &&
        !free_list_.empty();
        ++scanned) {
-    Job& job = jobs_[static_cast<std::size_t>(*it)];
-    const std::size_t needed = static_cast<std::size_t>(job.arrival.groups);
+    Job& job = job_by_id(*it);
+    const std::size_t needed = static_cast<std::size_t>(job.arrival->groups);
     if (free_list_.size() < needed) {
       ++it;
       continue;
@@ -282,7 +280,8 @@ void ControlPlane::try_admit() {
     for (std::size_t g = 0; g < needed; ++g) {
       std::vector<int> nodes;
       take_free_group(nodes);
-      owner_of_first_.emplace(nodes.front(), job.arrival.id);
+      owner_of_first_[static_cast<std::size_t>(nodes.front())] =
+          job.arrival->id;
       job.groups.push_back(std::move(nodes));
     }
     job.state = JobState::kStarting;
@@ -294,15 +293,15 @@ void ControlPlane::try_admit() {
 
 void ControlPlane::start_pending_reconfigs(Job& job) {
   for (const auto& nodes : job.groups)
-    for (int n : nodes) enqueue_reconfig(n, kHbdSession, job.arrival.id);
+    for (int n : nodes) enqueue_reconfig(n, kHbdSession, job.arrival->id);
   // Degenerate case (already-drained nodes coalesced away): start at once.
   if (job.outstanding_reconfigs == 0 && job.state == JobState::kStarting)
-    begin_running(job.arrival.id);
+    begin_running(job.arrival->id);
 }
 
 void ControlPlane::begin_running(int job_id) {
   static obs::Histogram& h_wait = obs::histogram("ctrl.job_wait_seconds");
-  Job& job = jobs_[static_cast<std::size_t>(job_id)];
+  Job& job = job_by_id(job_id);
   job.state = JobState::kRunning;
   ++running_count_;
   ++result_.starts;
@@ -315,41 +314,47 @@ void ControlPlane::begin_running(int job_id) {
   }
   h_wait.observe(wait_s);
   job.completion = engine_.schedule_in(
-      job.arrival.run_days, [this, job_id](evsim::Engine&) {
+      job.arrival->run_days, [this, job_id](evsim::Engine&) {
         complete(job_id);
       });
 }
 
 void ControlPlane::complete(int job_id) {
-  Job& job = jobs_[static_cast<std::size_t>(job_id)];
+  Job& job = job_by_id(job_id);
   job.state = JobState::kDone;
   job.completion = 0;
   --running_count_;
   ++result_.completions;
   release_groups(job, /*park=*/true);
   try_admit();
+  // Retire finished jobs from the front of the live window.
+  while (!jobs_.empty() && jobs_.front().state == JobState::kDone) {
+    jobs_.pop_front();
+    ++first_live_job_;
+  }
 }
 
 void ControlPlane::release_groups(Job& job, bool park) {
-  for (const auto& nodes : job.groups) {
-    owner_of_first_.erase(nodes.front());
+  for (auto& nodes : job.groups) {
+    owner_of_first_[static_cast<std::size_t>(nodes.front())] = -1;
     for (int n : nodes) {
-      const auto waiter = waiter_of_node_.find(n);
-      if (waiter != waiter_of_node_.end() &&
-          waiter->second == job.arrival.id) {
-        waiter_of_node_.erase(waiter);
+      int& waiter = waiter_of_node_[static_cast<std::size_t>(n)];
+      if (waiter == job.arrival->id) {
+        waiter = -1;
         --job.outstanding_reconfigs;
       }
       if (park) enqueue_reconfig(n, kParkSession, /*waiter_job=*/-1);
     }
-    add_free_group(nodes);
+    add_free_group(std::move(nodes));
   }
-  job.groups.clear();
+  // Free the storage, not just the elements: a finished job keeps nothing,
+  // so the daemon's heap tracks the running set instead of every job seen.
+  std::vector<std::vector<int>>().swap(job.groups);
   job.outstanding_reconfigs = 0;
 }
 
 void ControlPlane::preempt(int job_id) {
-  Job& job = jobs_[static_cast<std::size_t>(job_id)];
+  Job& job = job_by_id(job_id);
   if (job.state == JobState::kRunning) {
     // The cancellable-completion contract in action: a preempted job's
     // departure event must never fire.
@@ -376,20 +381,20 @@ void ControlPlane::apply_delta(const orch::PlacementDelta& delta) {
   std::vector<int> affected;
   for (const auto& g : delta.removed) {
     const int first = g.group.nodes.front();
-    const auto owner = owner_of_first_.find(first);
-    if (owner == owner_of_first_.end()) {
+    int& owner = owner_of_first_[static_cast<std::size_t>(first)];
+    if (owner < 0) {
       remove_free_group(first);
       continue;
     }
-    const int job_id = owner->second;
-    Job& job = jobs_[static_cast<std::size_t>(job_id)];
-    owner_of_first_.erase(owner);
+    const int job_id = owner;
+    Job& job = job_by_id(job_id);
+    owner = -1;
     for (auto it = job.groups.begin(); it != job.groups.end(); ++it) {
       if (*it != g.group.nodes) continue;
       for (int n : *it) {
-        const auto waiter = waiter_of_node_.find(n);
-        if (waiter != waiter_of_node_.end() && waiter->second == job_id) {
-          waiter_of_node_.erase(waiter);
+        int& waiter = waiter_of_node_[static_cast<std::size_t>(n)];
+        if (waiter == job_id) {
+          waiter = -1;
           --job.outstanding_reconfigs;
         }
       }
@@ -406,15 +411,15 @@ void ControlPlane::apply_delta(const orch::PlacementDelta& delta) {
   // Repair each affected job from the free pool; preempt when the pool
   // cannot restore its full group demand.
   for (const int job_id : affected) {
-    Job& job = jobs_[static_cast<std::size_t>(job_id)];
+    Job& job = job_by_id(job_id);
     bool whole = true;
-    while (static_cast<int>(job.groups.size()) < job.arrival.groups) {
+    while (static_cast<int>(job.groups.size()) < job.arrival->groups) {
       std::vector<int> nodes;
       if (!take_free_group(nodes)) {
         whole = false;
         break;
       }
-      owner_of_first_.emplace(nodes.front(), job_id);
+      owner_of_first_[static_cast<std::size_t>(nodes.front())] = job_id;
       // Replacement nodes must be steered before they carry traffic: a
       // starting job adds them to its wait set; a running job keeps
       // running on the rest while the new group steers in the background.
@@ -489,7 +494,7 @@ ControlPlaneResult ControlPlane::run() {
 
   result_.events = engine_.executed();
   result_.unfinished =
-      static_cast<std::uint64_t>(jobs_.size()) - result_.completions;
+      static_cast<std::uint64_t>(arrivals_.size()) - result_.completions;
   result_.reconfig_enqueued = queue_.enqueued();
   result_.reconfig_coalesced = queue_.coalesced();
   result_.reconfig_drained = queue_.drained();
@@ -524,7 +529,7 @@ ControlPlaneResult ControlPlane::run() {
 ControlPlaneResult run_control_plane(const ControlPlaneConfig& cfg,
                                      const fault::FaultTrace& trace,
                                      std::vector<JobArrival> arrivals) {
-  ControlPlane cp(cfg, trace, std::move(arrivals));
+  ControlPlane cp(cfg, trace, arrivals);
   return cp.run();
 }
 

@@ -40,7 +40,6 @@
 #include <list>
 #include <optional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "src/common/rng.h"
@@ -130,11 +129,15 @@ struct ControlPlaneResult {
 
 /// The daemon. Construct, then run() to the trace horizon. One-shot: a new
 /// scenario takes a new instance (long-running *within* a run; the bench
-/// restarts per trial).
+/// restarts per trial). The plane borrows `trace` and `arrivals`: both must
+/// outlive it (run_control_plane owns a copy of the arrivals for callers
+/// that hand over a temporary).
 class ControlPlane {
  public:
   ControlPlane(const ControlPlaneConfig& cfg, const fault::FaultTrace& trace,
-               std::vector<JobArrival> arrivals);
+               const std::vector<JobArrival>& arrivals);
+  ControlPlane(const ControlPlaneConfig&, const fault::FaultTrace&,
+               std::vector<JobArrival>&&) = delete;
 
   /// Consume every event up to trace.duration_days() and return the run's
   /// aggregate result.
@@ -161,7 +164,7 @@ class ControlPlane {
   enum class JobState { kPending, kStarting, kRunning, kDone };
 
   struct Job {
-    JobArrival arrival;
+    const JobArrival* arrival = nullptr;  ///< into arrivals_ (borrowed)
     JobState state = JobState::kPending;
     double pending_since = 0.0;  ///< arrival or last preemption day
     std::vector<std::vector<int>> groups;  ///< owned node groups
@@ -173,6 +176,9 @@ class ControlPlane {
     evsim::EventId completion = 0;
   };
 
+  Job& job_by_id(int id) {
+    return jobs_[static_cast<std::size_t>(id) - first_live_job_];
+  }
   void on_arrival(std::size_t index);
   void on_fault_day(std::size_t cursor);
   void on_drain();
@@ -183,7 +189,7 @@ class ControlPlane {
   void preempt(int job_id);
   void release_groups(Job& job, bool park);
   void apply_delta(const orch::PlacementDelta& delta);
-  void add_free_group(const std::vector<int>& nodes);
+  void add_free_group(std::vector<int> nodes);
   bool take_free_group(std::vector<int>& out);
   void remove_free_group(int first_node);
   void arm_drain();
@@ -191,7 +197,7 @@ class ControlPlane {
 
   ControlPlaneConfig cfg_;
   const fault::FaultTrace& trace_;
-  std::vector<JobArrival> arrivals_;
+  const std::vector<JobArrival>& arrivals_;
 
   dcn::FatTree fat_tree_;
   orch::FatTreeOrchestrator orch_;
@@ -201,20 +207,27 @@ class ControlPlane {
   evsim::Engine engine_;
   Rng rng_;
 
-  std::vector<Job> jobs_;          ///< indexed by arrival id
+  /// Live window of jobs in arrival-id order: every job from the oldest
+  /// unfinished one up to the latest arrival (jobs_[id - first_live_job_]).
+  /// Only live jobs are ever looked up (pending, starting or running), so
+  /// finished ones are retired from the front and the daemon's memory
+  /// follows the backlog, not the length of the run.
+  std::deque<Job> jobs_;
+  std::size_t first_live_job_ = 0;  ///< arrival id of jobs_.front()
   std::deque<int> pending_;        ///< FIFO (arrival order maintained)
   std::size_t running_count_ = 0;
 
   /// Free groups: FIFO order (placement order at init, release/churn order
-  /// after), keyed by first node for O(1) removal on fault churn. A group's
-  /// first node identifies it uniquely: placement groups are disjoint.
+  /// after), indexed by first node for O(1) removal on fault churn. A
+  /// group's first node identifies it uniquely: placement groups are
+  /// disjoint. The node-indexed tables below use free_list_.end() / -1 for
+  /// "none".
   std::list<std::vector<int>> free_list_;
-  std::unordered_map<int, std::list<std::vector<int>>::iterator>
-      free_by_first_;
+  std::vector<std::list<std::vector<int>>::iterator> free_by_first_;
 
-  std::unordered_map<int, int> owner_of_first_;  ///< group first node -> job
-  std::unordered_map<int, int> waiter_of_node_;  ///< node -> starting job
-  std::vector<int> fault_depth_;  ///< active fault intervals per node
+  std::vector<int> owner_of_first_;  ///< group first node -> job
+  std::vector<int> waiter_of_node_;  ///< node -> starting job
+  std::vector<int> fault_depth_;     ///< active fault intervals per node
 
   bool drain_armed_ = false;
   ControlPlaneResult result_;

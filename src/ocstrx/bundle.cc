@@ -57,19 +57,24 @@ bool Bundle::steer_async(evsim::Engine& engine, OcsPath path, Rng& rng,
   return true;
 }
 
-bool Bundle::healthy() const {
-  return std::all_of(trxs_.begin(), trxs_.end(),
-                     [](const Transceiver& t) { return t.healthy(); });
-}
-
 void Bundle::fail() {
-  for (auto& t : trxs_) t.fail();
+  for (auto& t : trxs_) {
+    if (t.healthy()) ++failed_members_;
+    t.fail();
+  }
 }
 
 void Bundle::repair() {
-  for (auto& t : trxs_) t.repair();
+  for (auto& t : trxs_) {
+    if (!t.healthy()) --failed_members_;
+    t.repair();
+  }
 }
 
-void Bundle::fail_one(int index) { trxs_.at(index).fail(); }
+void Bundle::fail_one(int index) {
+  Transceiver& t = trxs_.at(index);
+  if (t.healthy()) ++failed_members_;
+  t.fail();
+}
 
 }  // namespace ihbd::ocstrx

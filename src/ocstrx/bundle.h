@@ -48,8 +48,10 @@ class Bundle {
   bool steer_async(evsim::Engine& engine, OcsPath path, Rng& rng,
                    bool preloaded, std::function<void()> done = {});
 
-  /// True iff every member transceiver is healthy.
-  bool healthy() const;
+  /// True iff every member transceiver is healthy. O(1): a member fails or
+  /// recovers only through fail()/repair()/fail_one(), which keep the
+  /// failed-member count.
+  bool healthy() const { return failed_members_ == 0; }
   /// Fail / repair the whole bundle (transceiver-level failures manifest
   /// as regular module failures).
   void fail();
@@ -57,14 +59,15 @@ class Bundle {
   /// Fail exactly one member (partial-bandwidth degradation).
   void fail_one(int index);
 
+  /// Read-only: member health changes only through the bundle.
   const Transceiver& trx(int index) const { return trxs_.at(index); }
-  Transceiver& trx(int index) { return trxs_.at(index); }
 
  private:
   std::uint32_t id_;
   int gpu_upper_;
   int gpu_lower_;
   std::vector<Transceiver> trxs_;
+  int failed_members_ = 0;
 };
 
 }  // namespace ihbd::ocstrx

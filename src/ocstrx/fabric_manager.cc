@@ -23,30 +23,46 @@ NodeFabricManager::NodeFabricManager(int gpus, int bundles,
 }
 
 void NodeFabricManager::preload_session(const std::string& name,
-                                        Session session) {
-  preloaded_[name] = std::move(session);
+                                        const Session& session) {
+  Steps steps(session.begin(), session.end());
+  for (Preloaded& p : preloaded_) {
+    if (p.name == name) {
+      p.steps = std::move(steps);
+      return;
+    }
+  }
+  preloaded_.push_back(Preloaded{name, std::move(steps)});
+}
+
+const NodeFabricManager::Preloaded* NodeFabricManager::find_session(
+    const std::string& name) const {
+  for (const Preloaded& p : preloaded_) {
+    if (p.name == name) return &p;
+  }
+  return nullptr;
 }
 
 bool NodeFabricManager::has_session(const std::string& name) const {
-  return preloaded_.count(name) > 0;
+  return find_session(name) != nullptr;
 }
 
 std::optional<double> NodeFabricManager::apply_session(const std::string& name,
                                                        Rng& rng) {
-  auto it = preloaded_.find(name);
-  if (it == preloaded_.end()) return std::nullopt;
-  return apply(it->second, rng, /*preloaded=*/true);
+  const Preloaded* p = find_session(name);
+  if (p == nullptr) return std::nullopt;
+  return apply(p->steps, rng, /*preloaded=*/true);
 }
 
 std::optional<double> NodeFabricManager::apply_adhoc(const Session& session,
                                                      Rng& rng) {
-  return apply(session, rng, /*preloaded=*/false);
+  return apply(Steps(session.begin(), session.end()), rng,
+               /*preloaded=*/false);
 }
 
-std::optional<double> NodeFabricManager::apply(const Session& session,
-                                               Rng& rng, bool preloaded) {
+std::optional<double> NodeFabricManager::apply(const Steps& steps, Rng& rng,
+                                               bool preloaded) {
   double worst = 0.0;
-  for (const auto& [bundle_id, path] : session) {
+  for (const auto& [bundle_id, path] : steps) {
     if (bundle_id >= bundles_.size()) return std::nullopt;
     auto latency = bundles_[bundle_id].steer(path, rng, preloaded);
     if (!latency) return std::nullopt;

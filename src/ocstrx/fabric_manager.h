@@ -10,6 +10,7 @@
 #include <map>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/common/rng.h"
@@ -36,8 +37,9 @@ class NodeFabricManager {
   const Bundle& bundle(int index) const { return bundles_.at(index); }
 
   /// Preload a named session into the controller (fast-switch candidate).
-  /// Overwrites any session with the same name.
-  void preload_session(const std::string& name, Session session);
+  /// Overwrites any session with the same name. A controller holds a few
+  /// short-named sessions, so lookups scan them linearly.
+  void preload_session(const std::string& name, const Session& session);
   bool has_session(const std::string& name) const;
 
   /// Apply a named preloaded session. Returns the node-level switch latency
@@ -60,12 +62,19 @@ class NodeFabricManager {
   bool healthy() const;
 
  private:
-  std::optional<double> apply(const Session& session, Rng& rng,
-                              bool preloaded);
+  /// A session flattened to its (bundle, path) steps in bundle-id order.
+  using Steps = std::vector<std::pair<std::uint32_t, OcsPath>>;
+  struct Preloaded {
+    std::string name;
+    Steps steps;
+  };
+
+  const Preloaded* find_session(const std::string& name) const;
+  std::optional<double> apply(const Steps& steps, Rng& rng, bool preloaded);
 
   int gpus_;
   std::vector<Bundle> bundles_;
-  std::map<std::string, Session> preloaded_;
+  std::vector<Preloaded> preloaded_;
 };
 
 }  // namespace ihbd::ocstrx

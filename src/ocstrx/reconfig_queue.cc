@@ -12,94 +12,121 @@ double RetryPolicy::backoff_for(int failed_attempts) const {
   return std::min(b, max_backoff);
 }
 
+std::uint32_t* ReconfigQueue::slot_for(int node) {
+  if (node < 0 || node >= kMaxSlotNodes) return nullptr;
+  const auto n = static_cast<std::size_t>(node);
+  if (n >= slot_.size()) slot_.resize(n + 1, kNoEntry);
+  return &slot_[n];
+}
+
+void ReconfigQueue::release(std::uint32_t entry) {
+  // An addressable node's only entry is this one; enqueue sized its slot.
+  const int node = entries_[entry].request.node;
+  if (node >= 0 && node < kMaxSlotNodes)
+    slot_[static_cast<std::size_t>(node)] = kNoEntry;
+  free_.push_back(entry);
+}
+
 bool ReconfigQueue::enqueue(int node, const std::string& session, double now) {
-  const auto it = by_node_.find(node);
-  if (it != by_node_.end()) {
+  std::uint32_t* slot = slot_for(node);
+  if (slot != nullptr && *slot != kNoEntry) {
     // Coalesce: retarget the queued request, keep its position and its
     // original enqueue time (the oldest waiter defines the wait). A
     // backing-off request also gets a fresh attempt budget — the intent is
     // new even though the node's backoff slot is not.
-    it->second.it->session = session;
-    if (it->second.in_retry) it->second.it->attempts = 0;
+    Entry& e = entries_[*slot];
+    e.request.session = session;
+    if (e.in_retry) e.request.attempts = 0;
     ++coalesced_;
     return false;
   }
-  ready_.push_back(ReconfigRequest{node, session, now, 0, now});
-  by_node_.emplace(node, Slot{false, std::prev(ready_.end())});
+  std::uint32_t entry;
+  if (free_.empty()) {
+    entry = static_cast<std::uint32_t>(entries_.size());
+    entries_.emplace_back();
+  } else {
+    entry = free_.back();
+    free_.pop_back();
+  }
+  Entry& e = entries_[entry];
+  e.request.node = node;
+  e.request.session = session;
+  e.request.enqueued_at = now;
+  e.request.attempts = 0;
+  e.request.not_before = now;
+  e.in_retry = false;
+  ready_.push_back(entry);
+  if (slot != nullptr) *slot = entry;
   ++enqueued_;
   return true;
 }
 
 std::optional<double> ReconfigQueue::next_retry_at() const {
   if (retry_.empty()) return std::nullopt;
-  return retry_.front().not_before;
+  return retry_.top().not_before;
 }
 
-std::vector<ReconfigOutcome> ReconfigQueue::drain_batch(
+const std::vector<ReconfigOutcome>& ReconfigQueue::drain_batch(
     std::vector<NodeFabricManager>& fleet, double now, Rng& rng) {
   // Due retries rejoin the FIFO tail in deadline order before the batch is
   // cut, so a recovered request competes fairly with fresh arrivals.
-  while (!retry_.empty() && retry_.front().not_before <= now) {
-    const int node = retry_.front().node;
-    ready_.splice(ready_.end(), retry_, retry_.begin());
-    by_node_[node] = Slot{false, std::prev(ready_.end())};
+  while (!retry_.empty() && retry_.top().not_before <= now) {
+    const std::uint32_t entry = retry_.top().entry;
+    retry_.pop();
+    entries_[entry].in_retry = false;
+    ready_.push_back(entry);
   }
 
-  std::vector<ReconfigOutcome> out;
-  while (!ready_.empty() && out.size() < max_batch_) {
-    ReconfigOutcome oc;
-    oc.request = std::move(ready_.front());
-    oc.drained_at = now;
-    by_node_.erase(oc.request.node);
+  out_.clear();
+  while (!ready_.empty() && out_.size() < max_batch_) {
+    const std::uint32_t entry = ready_.front();
     ready_.pop_front();
-    ++oc.request.attempts;
+    ReconfigRequest& req = entries_[entry].request;
+    ++req.attempts;
+    ReconfigOutcome& oc = out_.emplace_back();
+    oc.request = req;
+    oc.drained_at = now;
 
-    const bool in_range = oc.request.node >= 0 &&
-                          oc.request.node < static_cast<int>(fleet.size());
-    auto* fm = in_range
-                   ? &fleet[static_cast<std::size_t>(oc.request.node)]
-                   : nullptr;
-    if (fm == nullptr || !fm->has_session(oc.request.session)) {
+    const bool in_range =
+        req.node >= 0 && req.node < static_cast<int>(fleet.size());
+    auto* fm = in_range ? &fleet[static_cast<std::size_t>(req.node)] : nullptr;
+    if (fm == nullptr || !fm->has_session(req.session)) {
       // A malformed request stays malformed: fail it permanently instead
       // of burning the retry budget.
       oc.permanent = true;
       ++failed_;
       ++drained_;
-    } else {
-      if (inject_.should_fail(oc.request.node, inject_seq_++)) {
-        oc.injected = true;
-        ++injected_;
-      } else {
-        oc.switch_latency_s = fm->apply_session(oc.request.session, rng);
-      }
-      if (oc.ok()) {
-        ++drained_;
-      } else {
-        ++failed_;
-        if (oc.request.attempts >= policy_.max_attempts) {
-          oc.dead_lettered = true;
-          dead_.push_back(oc.request);
-          ++dead_lettered_;
-          ++drained_;
-        } else {
-          oc.will_retry = true;
-          ReconfigRequest again = oc.request;
-          again.not_before = now + policy_.backoff_for(again.attempts);
-          // Stable insert by deadline: behind every request due no later.
-          auto pos = retry_.end();
-          while (pos != retry_.begin() &&
-                 std::prev(pos)->not_before > again.not_before) {
-            --pos;
-          }
-          const auto ins = retry_.insert(pos, std::move(again));
-          by_node_[oc.request.node] = Slot{true, ins};
-          ++retried_;
-        }
-      }
+      release(entry);
+      continue;
     }
-    out.push_back(std::move(oc));
+    if (inject_.should_fail(req.node, inject_seq_++)) {
+      oc.injected = true;
+      ++injected_;
+    } else {
+      oc.switch_latency_s = fm->apply_session(req.session, rng);
+    }
+    if (oc.ok()) {
+      ++drained_;
+      release(entry);
+      continue;
+    }
+    ++failed_;
+    if (req.attempts >= policy_.max_attempts) {
+      oc.dead_lettered = true;
+      dead_.push_back(req);
+      ++dead_lettered_;
+      ++drained_;
+      release(entry);
+      continue;
+    }
+    // Back off in place: the entry (and the node's slot) stays live.
+    oc.will_retry = true;
+    req.not_before = now + policy_.backoff_for(req.attempts);
+    entries_[entry].in_retry = true;
+    retry_.push(RetryKey{req.not_before, retry_seq_++, entry});
+    ++retried_;
   }
-  return out;
+  return out_;
 }
 
 }  // namespace ihbd::ocstrx

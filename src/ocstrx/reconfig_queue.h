@@ -27,14 +27,23 @@
 //
 // The queue itself is pure bookkeeping (deterministic, no engine or obs
 // dependency); src/ctrl owns the drain cadence and the metrics.
+//
+// Storage is flat: requests live in a recycled entry pool, a dense
+// node-indexed slot table finds a node's queued request, the ready FIFO
+// holds entry indices, and the backoff set is a binary heap keyed on
+// (deadline, insertion sequence) — the sequence keeps equal deadlines in
+// the order they failed. Only node ids in [0, kMaxSlotNodes) index the
+// slot table; any other id is queued without a slot (it never coalesces)
+// and fails permanently at drain unless the fleet really holds it.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <list>
+#include <deque>
+#include <functional>
 #include <optional>
+#include <queue>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "src/common/rng.h"
@@ -126,23 +135,50 @@ class ReconfigQueue {
   /// Pop up to max_batch() due requests in FIFO order (backed-off requests
   /// whose deadline has passed rejoin the FIFO first, in deadline order)
   /// and apply each to its node's fabric manager (preloaded fast path).
-  /// `fleet` is indexed by node id. One outcome per attempt.
-  std::vector<ReconfigOutcome> drain_batch(std::vector<NodeFabricManager>& fleet,
-                                           double now, Rng& rng);
+  /// `fleet` is indexed by node id. One outcome per attempt, in drain
+  /// order. The returned storage is reused: it stays valid until the next
+  /// drain_batch() call.
+  const std::vector<ReconfigOutcome>& drain_batch(
+      std::vector<NodeFabricManager>& fleet, double now, Rng& rng);
 
  private:
-  /// Where a node's queued request lives (a node has at most one).
-  struct Slot {
+  /// Node ids the slot table may index. Far above any fleet this model
+  /// builds, and small enough that a table covering it stays a few MiB.
+  static constexpr int kMaxSlotNodes = 1 << 20;
+  static constexpr std::uint32_t kNoEntry = UINT32_MAX;
+
+  /// One queued request (a node has at most one).
+  struct Entry {
+    ReconfigRequest request;
     bool in_retry = false;
-    std::list<ReconfigRequest>::iterator it;
   };
+  /// Backoff-heap key: earliest deadline first, then failure order.
+  struct RetryKey {
+    double not_before;
+    std::uint64_t seq;
+    std::uint32_t entry;
+    bool operator>(const RetryKey& o) const {
+      return not_before != o.not_before ? not_before > o.not_before
+                                        : seq > o.seq;
+    }
+  };
+
+  /// The node's slot, or nullptr for ids outside [0, kMaxSlotNodes).
+  /// Grows the table on demand (enqueue only).
+  std::uint32_t* slot_for(int node);
+  void release(std::uint32_t entry);
 
   std::size_t max_batch_;
   RetryPolicy policy_;
   fault::InjectionPlan inject_;
-  std::list<ReconfigRequest> ready_;  ///< FIFO, due now
-  std::list<ReconfigRequest> retry_;  ///< sorted by not_before (stable)
-  std::unordered_map<int, Slot> by_node_;
+  std::vector<Entry> entries_;           ///< request pool
+  std::vector<std::uint32_t> free_;      ///< recycled pool indices
+  std::vector<std::uint32_t> slot_;      ///< node -> entry (kNoEntry: none)
+  std::deque<std::uint32_t> ready_;      ///< FIFO, due now
+  std::priority_queue<RetryKey, std::vector<RetryKey>, std::greater<>>
+      retry_;                            ///< backing off
+  std::uint64_t retry_seq_ = 0;
+  std::vector<ReconfigOutcome> out_;     ///< drain_batch() result storage
   std::vector<ReconfigRequest> dead_;
   std::uint64_t inject_seq_ = 0;  ///< per-attempt injection sequence
   std::uint64_t enqueued_ = 0;

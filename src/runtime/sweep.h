@@ -17,12 +17,15 @@
 //
 //   plan    — shard::plan_shards partitions the grid into ShardSpecs,
 //             deterministically from the spec alone.
-//   execute — each shard's cells run on a work-stealing ThreadPool; each
-//             (cell, trial) pair draws from its own RNG substream derived
-//             from (spec.seed, global trial index), so the result is
+//   execute — every (cell, trial) pair of a shard is a task on a
+//             work-stealing ThreadPool, so the trials of ONE cell may run
+//             concurrently. Each pair draws from its own RNG substream
+//             derived from (spec.seed, global trial index), and a per-cell
+//             in-order commit folds a cell's trials strictly in trial
+//             order (a trial that finishes early is parked until its
+//             predecessors have folded). The result is therefore
 //             bit-identical for any thread count, execution order, shard
-//             count, or kill/resume history; trials within one cell always
-//             accumulate in trial order. Sharded executors serialize
+//             count, or kill/resume history. Sharded executors serialize
 //             per-cell state through a ShardCodec and periodically persist
 //             versioned, checksummed checkpoints (src/runtime/checkpoint.h)
 //             so a killed worker resumes mid-shard.
@@ -37,6 +40,11 @@
 // A trial may return NaN to mark its cell "not applicable" (e.g. an
 // architecture that cannot host the requested TP size); such cells stay
 // empty and reports skip them.
+//
+// Because trials of one cell may run at the same time, a trial function
+// must not share mutable state across the trials of a cell (per-trial
+// slots indexed by Scenario::trial() are fine). Folds need no locking: one
+// cell's folds never overlap, and they run in trial order.
 //
 // The scalar path above is a thin adapter over the generic engine,
 // run_sweep_reduce: trials may return ANY result type, folded in trial
@@ -64,6 +72,7 @@
 #include <utility>
 #include <vector>
 
+#include "src/common/contracts.h"
 #include "src/common/error.h"
 #include "src/common/rng.h"
 #include "src/common/serde.h"
@@ -102,8 +111,9 @@ using TrialFn = std::function<double(const Scenario&, Rng&)>;
 
 namespace detail {
 
-/// Sweep-engine metrics (src/obs): cells/trials completed and per-cell wall
-/// time. Handles are interned once; recording is skipped unless obs is
+/// Sweep-engine metrics (src/obs): cells/trials completed and per-cell
+/// busy time (its trials plus its folds, summed over the threads that ran
+/// them). Handles are interned once; recording is skipped unless obs is
 /// enabled, so the engine's determinism and throughput are untouched.
 struct SweepObs {
   obs::Counter& cells;
@@ -118,53 +128,115 @@ inline SweepObs& sweep_obs() {
   return o;
 }
 
-/// The execute stage's inner loop: fold trials [trial_begin, trial_end) of
-/// one cell into `acc`, strictly in trial order. Every execution path —
-/// local, sharded, resumed — funnels through here, which is what makes
-/// them bit-interchangeable.
-template <typename Acc, typename Trial, typename Fold>
-void run_cell_into(const SweepSpec& spec, std::size_t cell, int trial_begin,
-                   int trial_end, Acc& acc, Trial& trial, Fold& fold) {
-  IHBD_TRACE_SPAN("sweep_cell");
+inline std::uint64_t ns_since(std::chrono::steady_clock::time_point t0) {
+  return static_cast<std::uint64_t>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(
+          std::chrono::steady_clock::now() - t0)
+          .count());
+}
+
+/// One cell's in-order commit point. A finished trial whose turn it is
+/// folds itself, then every successor already parked; a trial that
+/// finishes early parks its result. So one cell's folds never overlap and
+/// always see its trials in order, whichever threads ran them.
+template <typename R>
+struct CellCommit {
+  std::mutex mu;
+  int next = 0;                          ///< next trial to fold
+  std::vector<std::optional<R>> parked;  ///< finished early, by offset
+  std::vector<std::size_t> idx;          ///< the cell's axis indices
+  std::uint64_t busy_ns = 0;             ///< obs only
+};
+
+/// The execute stage: run trials [trial_begin, trial_end) of every cell in
+/// `cells` as pool tasks — one parallel_for index per (cell, trial) pair —
+/// and fold each cell's trials, strictly in trial order, into acc_of(k).
+/// cell_done(k) runs once cell k (an index into `cells`) has folded its
+/// last trial. Every execution path — local, sharded, resumed — funnels
+/// through here, which is what makes them bit-interchangeable. With one
+/// trial per cell this schedules exactly one index per cell.
+template <typename Trial, typename Fold, typename AccOf, typename CellDone>
+void execute_cells(const SweepSpec& spec,
+                   const std::vector<std::size_t>& cells, int trial_begin,
+                   int trial_end, Trial& trial, Fold& fold, AccOf&& acc_of,
+                   CellDone&& cell_done, ThreadPool& pool) {
+  using R = std::decay_t<std::invoke_result_t<Trial&, const Scenario&, Rng&>>;
+  IHBD_EXPECTS(trial_end > trial_begin);
+  const auto per_cell = static_cast<std::size_t>(trial_end - trial_begin);
+  std::vector<CellCommit<R>> commits(cells.size());
+  for (std::size_t k = 0; k < cells.size(); ++k) {
+    commits[k].next = trial_begin;
+    commits[k].parked.resize(per_cell);
+    commits[k].idx = decode_cell(spec, cells[k]);
+  }
   const bool obs_on = obs::enabled();
-  const auto t0 = obs_on ? std::chrono::steady_clock::now()
-                         : std::chrono::steady_clock::time_point{};
-  const std::vector<std::size_t> idx = decode_cell(spec, cell);
-  for (int t = trial_begin; t < trial_end; ++t) {
-    Rng rng = trial_rng(spec, cell, t);
-    const Scenario scenario(spec, cell, idx, t);
-    if constexpr (std::is_invocable_v<Fold&, Acc&,
-                                      decltype(trial(scenario, rng)),
-                                      const Scenario&>) {
-      fold(acc, trial(scenario, rng), scenario);
-    } else {
-      fold(acc, trial(scenario, rng));
+  const auto clock = [obs_on] {
+    return obs_on ? std::chrono::steady_clock::now()
+                  : std::chrono::steady_clock::time_point{};
+  };
+
+  pool.parallel_for(cells.size() * per_cell, [&](std::size_t i) {
+    IHBD_TRACE_SPAN("sweep_trial");
+    const std::size_t k = i / per_cell;
+    const std::size_t cell = cells[k];
+    CellCommit<R>& c = commits[k];
+    int t = trial_begin + static_cast<int>(i % per_cell);
+
+    auto t0 = clock();
+    std::optional<R> result;
+    {
+      Rng rng = trial_rng(spec, cell, t);
+      result.emplace(trial(Scenario(spec, cell, c.idx, t), rng));
     }
-  }
-  if (obs_on) {
-    const auto ns = std::chrono::duration_cast<std::chrono::nanoseconds>(
-                        std::chrono::steady_clock::now() - t0)
-                        .count();
-    SweepObs& o = sweep_obs();
-    o.cells.add(1);
-    o.trials.add(static_cast<std::uint64_t>(trial_end - trial_begin));
-    o.cell_ns.add(static_cast<std::uint64_t>(ns));
-    o.cell_seconds.observe(static_cast<double>(ns) * 1e-9);
-  }
+    std::unique_lock<std::mutex> lock(c.mu);
+    if (obs_on) c.busy_ns += ns_since(t0);
+    if (t != c.next) {
+      c.parked[static_cast<std::size_t>(t - trial_begin)] = std::move(result);
+      return;
+    }
+    for (;;) {
+      lock.unlock();
+      t0 = clock();
+      const Scenario scenario(spec, cell, c.idx, t);
+      if constexpr (std::is_invocable_v<Fold&, decltype(acc_of(k)), R&&,
+                                        const Scenario&>) {
+        fold(acc_of(k), std::move(*result), scenario);
+      } else {
+        fold(acc_of(k), std::move(*result));
+      }
+      lock.lock();
+      if (obs_on) c.busy_ns += ns_since(t0);
+      t = ++c.next;
+      if (t == trial_end) break;
+      std::optional<R>& slot = c.parked[static_cast<std::size_t>(t - trial_begin)];
+      if (!slot) return;  // trial t is still running; it folds itself
+      result = std::move(slot);
+      slot.reset();
+    }
+    lock.unlock();
+    if (obs_on) {
+      SweepObs& o = sweep_obs();
+      o.cells.add(1);
+      o.trials.add(per_cell);
+      o.cell_ns.add(c.busy_ns);
+      o.cell_seconds.observe(static_cast<double>(c.busy_ns) * 1e-9);
+    }
+    cell_done(k);
+  });
 }
 
 /// Execute one shard directly into the result grid (the local path: no
-/// serialization boundary). Scheduling is identical to the pre-pipeline
-/// engine: one parallel_for index per cell of the shard.
+/// serialization boundary).
 template <typename Acc, typename Trial, typename Fold>
 void execute_shard_into(const SweepSpec& spec, const shard::ShardSpec& sh,
                         std::vector<Acc>& cells, Trial& trial, Fold& fold,
                         const PoolRef& pool_ref) {
-  pool_ref->parallel_for(sh.cells(), [&](std::size_t i) {
-    const std::size_t cell = sh.cell_begin + i;
-    run_cell_into(spec, cell, sh.trial_begin, sh.trial_end, cells[cell],
-                  trial, fold);
-  });
+  std::vector<std::size_t> ids(sh.cells());
+  for (std::size_t i = 0; i < ids.size(); ++i) ids[i] = sh.cell_begin + i;
+  execute_cells(
+      spec, ids, sh.trial_begin, sh.trial_end, trial, fold,
+      [&](std::size_t k) -> Acc& { return cells[ids[k]]; },
+      [](std::size_t) {}, *pool_ref);
 }
 
 /// Execute one shard durably: resume completed cells from the newest valid
@@ -234,24 +306,33 @@ std::string execute_shard_durable(const SweepSpec& spec,
     return shard::encode_shard_payload(payload);
   };
 
+  std::vector<std::size_t> ids(pending.size());
+  for (std::size_t k = 0; k < ids.size(); ++k) ids[k] = sh.cell_begin + pending[k];
+  // A pending cell's accumulator lives only from its first fold until it is
+  // serialized.
+  std::vector<std::optional<Acc>> accs(pending.size());
   std::mutex mu;
   std::size_t since_checkpoint = 0;
   const std::size_t every = std::max<std::size_t>(1, ctx.checkpoint_every());
-  pool_ref->parallel_for(pending.size(), [&](std::size_t k) {
-    const std::size_t i = pending[k];
-    const std::size_t cell = sh.cell_begin + i;
-    Acc acc = init;
-    run_cell_into(spec, cell, sh.trial_begin, sh.trial_end, acc, trial, fold);
-    serde::Writer w;
-    codec.save(w, acc);
-    std::lock_guard<std::mutex> lock(mu);
-    done[i] = w.take();
-    ctx.note_progress(sh.index);
-    if (!ckpt_path.empty() && ++since_checkpoint >= every) {
-      since_checkpoint = 0;
-      checkpoint::write(ckpt_path, build_payload(/*with_metrics=*/true));
-    }
-  });
+  execute_cells(
+      spec, ids, sh.trial_begin, sh.trial_end, trial, fold,
+      [&](std::size_t k) -> Acc& {
+        if (!accs[k]) accs[k].emplace(init);
+        return *accs[k];
+      },
+      [&](std::size_t k) {
+        serde::Writer w;
+        codec.save(w, *accs[k]);
+        accs[k].reset();
+        std::lock_guard<std::mutex> lock(mu);
+        done[pending[k]] = w.take();
+        ctx.note_progress(sh.index);
+        if (!ckpt_path.empty() && ++since_checkpoint >= every) {
+          since_checkpoint = 0;
+          checkpoint::write(ckpt_path, build_payload(/*with_metrics=*/true));
+        }
+      },
+      *pool_ref);
 
   return build_payload(/*with_metrics=*/true);
 }
@@ -383,9 +464,11 @@ GenericSweepResult<Acc> run_sweep_sharded(const SweepSpec& spec, Acc init,
 /// each trial's result into that cell's accumulator, strictly in trial
 /// order within a cell. `init` seeds every cell (copied). `fold` is invoked
 /// as fold(acc, result) or, if it accepts a third parameter,
-/// fold(acc, result, scenario). Cells are distributed dynamically; because
-/// every trial draws from its own substream and folds in trial order,
-/// results are bit-identical for any thread count.
+/// fold(acc, result, scenario). (cell, trial) pairs are distributed
+/// dynamically — trials of one cell may run concurrently, so `trial` must
+/// not share mutable state within a cell; because every trial draws from
+/// its own substream and folds in trial order, results are bit-identical
+/// for any thread count.
 ///
 /// Execution substrate: an explicit `pool` wins (pass the SAME pool into
 /// any nested fan-out inside the trial, so the work-stealing scheduler lets

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -9,7 +11,11 @@
 #include "src/ctrl/control_plane.h"
 #include "src/ctrl/slo.h"
 #include "src/ctrl/workload.h"
+#include "src/fault/generator.h"
+#include "src/fault/physics_generator.h"
 #include "src/fault/trace.h"
+#include "src/runtime/sweep.h"
+#include "src/runtime/thread_pool.h"
 
 namespace ihbd::ctrl {
 namespace {
@@ -299,6 +305,120 @@ TEST(ControlPlane, MergeAndSerdeRoundTrip) {
   r.expect_done("ctrl result");
   EXPECT_EQ(result_bytes(back), bytes);
 }
+
+TEST(ControlPlane, ConcurrentTrialsInOneCellMatchOneWorker) {
+  // Several daemons run at once inside one sweep cell (the trials of a cell
+  // are concurrent pool tasks). Each trial owns its trace, workload and
+  // plane; the merged bytes must not depend on the pool width. Under
+  // ThreadSanitizer this is the multi-daemon race check.
+  runtime::SweepSpec spec;
+  spec.seed = 77;
+  spec.trials = 4;
+  spec.keep_samples = false;
+  spec.axes = {runtime::Axis::of_values("Nodes", {256.0})};
+  const auto sweep = [&](int workers) {
+    runtime::ThreadPool pool(workers);
+    const auto grid = runtime::run_sweep_reduce(
+        spec, ControlPlaneResult{},
+        [](const runtime::Scenario&, Rng& rng) {
+          std::vector<fault::FaultEvent> events;
+          for (int i = 0; i < 12; ++i) {
+            const int node = static_cast<int>(rng.uniform_index(256));
+            const double start = 0.5 + 3.0 * rng.uniform();
+            events.push_back({node, start, start + 0.5 * rng.uniform()});
+          }
+          const fault::FaultTrace trace(256, 4.0, events);
+          auto cfg = small_config();
+          cfg.seed = rng.next();
+          cfg.inject.session_failure_rate = 0.10;
+          cfg.inject.seed = rng.next();
+          return run_control_plane(cfg, trace,
+                                   small_workload(4.0, 150.0, rng.next()));
+        },
+        [](ControlPlaneResult& acc, ControlPlaneResult&& r) { acc.merge(r); },
+        0, &pool);
+    return result_bytes(grid.cells.front());
+  };
+  const std::string one = sweep(1);
+  EXPECT_EQ(sweep(4), one);
+  EXPECT_EQ(sweep(4), one);
+}
+
+// --- golden result pin --------------------------------------------------------
+
+/// FNV-1a-64 of a byte string.
+std::uint64_t fnv1a64(const std::string& bytes) {
+  std::uint64_t h = 1469598103934665603ull;
+  for (const unsigned char c : bytes) {
+    h ^= c;
+    h *= 1099511628211ull;
+  }
+  return h;
+}
+
+fault::FaultTrace golden_trace(fault::TraceModel model, int nodes,
+                               double days) {
+  if (model == fault::TraceModel::kPoisson) {
+    fault::TraceGenConfig tg;
+    tg.node_count = nodes;
+    tg.duration_days = days;
+    tg.seed = 11;
+    return fault::generate_trace(tg);
+  }
+  fault::PhysicsTraceConfig pc = model == fault::TraceModel::kStorm
+                                     ? fault::storm_trace_defaults()
+                                     : fault::physics_trace_defaults();
+  pc.node_count = nodes;
+  pc.duration_days = days;
+  pc.seed = 11;
+  pc.storm.rate_per_day *= 10.0;  // a storm or two inside the short horizon
+  return fault::generate_physics_trace(pc);
+}
+
+struct GoldenCase {
+  fault::TraceModel model;
+  double inject;
+  std::uint64_t fnv;  ///< FNV-1a-64 of ControlPlaneResult::save bytes
+};
+
+void PrintTo(const GoldenCase& c, std::ostream* os) {
+  *os << fault::trace_model_name(c.model) << " inject " << c.inject;
+}
+
+class ControlPlaneGolden : public ::testing::TestWithParam<GoldenCase> {};
+
+// Pins the exact serialized result of a small loaded fleet per trace model
+// and injection rate. DeterministicAcrossRuns only checks that a run agrees
+// with itself; this catches silent drift in RNG draw order, event order or
+// any counter. A change that is meant to alter results must update these
+// values and say so.
+TEST_P(ControlPlaneGolden, ResultBytesArePinned) {
+  const GoldenCase& c = GetParam();
+  const fault::FaultTrace trace = golden_trace(c.model, 256, 24.0);
+  const auto arrivals = small_workload(24.0, /*rate=*/200.0, /*seed=*/21);
+  auto cfg = small_config();
+  cfg.seed = 31;
+  cfg.inject.session_failure_rate = c.inject;
+  cfg.inject.seed = 41;
+  const auto r = run_control_plane(cfg, trace, arrivals);
+  ASSERT_GT(r.fault_transitions, 0u);
+  ASSERT_GT(r.starts, 0u);
+  EXPECT_EQ(fnv1a64(result_bytes(r)), c.fnv);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    ModelsAndInjection, ControlPlaneGolden,
+    ::testing::Values(
+        GoldenCase{fault::TraceModel::kPoisson, 0.0, 0x867b0d6c2e930f83ull},
+        GoldenCase{fault::TraceModel::kPoisson, 0.10, 0x5f7f96b37c7bed26ull},
+        GoldenCase{fault::TraceModel::kPhysics, 0.0, 0xc8ab29726d52d211ull},
+        GoldenCase{fault::TraceModel::kPhysics, 0.10, 0xc36af0af60aeb614ull},
+        GoldenCase{fault::TraceModel::kStorm, 0.0, 0xcbbcbd47d51453e4ull},
+        GoldenCase{fault::TraceModel::kStorm, 0.10, 0xc657c7f0ff97a55aull}),
+    [](const ::testing::TestParamInfo<GoldenCase>& info) {
+      return std::string(fault::trace_model_name(info.param.model)) +
+             (info.param.inject > 0.0 ? "_inject10" : "_clean");
+    });
 
 }  // namespace
 }  // namespace ihbd::ctrl

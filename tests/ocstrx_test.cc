@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <climits>
+#include <vector>
+
 #include "src/common/error.h"
 #include "src/evsim/engine.h"
 #include "src/ocstrx/bundle.h"
@@ -134,6 +137,35 @@ TEST(Bundle, SteerFailsWhenMemberFailed) {
   EXPECT_FALSE(b.steer(OcsPath::kExternal2, rng).has_value());
   b.repair();
   EXPECT_TRUE(b.steer(OcsPath::kExternal2, rng).has_value());
+}
+
+TEST(Bundle, HealthCountFollowsRepeatedAndPartialEdges) {
+  // healthy() reads a failed-member count: repeated and overlapping edges
+  // must keep it equal to "every member is healthy".
+  Bundle b(0, 0, 1, 4);
+  const auto all_members_healthy = [&] {
+    for (int i = 0; i < b.trx_count(); ++i)
+      if (!b.trx(i).healthy()) return false;
+    return true;
+  };
+  b.fail_one(1);
+  b.fail_one(1);  // already failed: counted once
+  EXPECT_FALSE(b.healthy());
+  b.fail();       // fails the other three
+  b.fail();       // no-op for the count
+  EXPECT_FALSE(b.healthy());
+  b.repair();
+  EXPECT_TRUE(b.healthy());
+  EXPECT_EQ(b.healthy(), all_members_healthy());
+  b.repair();     // repairing a healthy bundle changes nothing
+  EXPECT_TRUE(b.healthy());
+  b.fail_one(0);
+  b.fail_one(3);
+  EXPECT_FALSE(b.healthy());
+  EXPECT_EQ(b.healthy(), all_members_healthy());
+  b.repair();
+  EXPECT_TRUE(b.healthy());
+  EXPECT_EQ(b.healthy(), all_members_healthy());
 }
 
 TEST(Bundle, AsyncSteerCompletesViaBarrier) {
@@ -475,6 +507,53 @@ TEST(ReconfigQueue, PromotedRetriesKeepDeadlineOrder) {
   EXPECT_EQ(out[2].request.node, 2);
   for (const auto& oc : out) EXPECT_TRUE(oc.ok());
   EXPECT_TRUE(q.empty());
+}
+
+TEST(ReconfigQueue, OutOfRangeNodesFailPermanently) {
+  // Bad node ids must never index or size the dense slot table: each one
+  // resolves as a permanent failure on its first attempt, counted in
+  // failed() and drained(), without disturbing the in-range requests
+  // drained in the same batch.
+  auto fleet = test_fleet(4);
+  const int beyond = static_cast<int>(fleet.size());
+  const std::vector<int> nodes = {0, -1, 1, beyond, 2, INT_MAX, 3};
+  const auto bad = [&](int n) { return n < 0 || n >= beyond; };
+  ReconfigQueue q(/*max_batch=*/16);
+  Rng rng(1);
+  for (const int n : nodes) EXPECT_TRUE(q.enqueue(n, "ring", 0.5));
+  EXPECT_EQ(q.pending(), nodes.size());
+
+  const auto out = q.drain_batch(fleet, 1.0, rng);
+  ASSERT_EQ(out.size(), nodes.size());
+  for (std::size_t i = 0; i < nodes.size(); ++i) {
+    const ReconfigOutcome& oc = out[i];
+    EXPECT_EQ(oc.request.node, nodes[i]);  // FIFO order kept
+    EXPECT_EQ(oc.request.attempts, 1);
+    EXPECT_TRUE(oc.resolved());
+    EXPECT_FALSE(oc.will_retry);
+    EXPECT_FALSE(oc.dead_lettered);
+    EXPECT_EQ(oc.permanent, bad(nodes[i])) << "node " << nodes[i];
+    EXPECT_EQ(oc.ok(), !bad(nodes[i])) << "node " << nodes[i];
+  }
+  EXPECT_TRUE(q.empty());
+  EXPECT_EQ(q.failed(), 3u);
+  EXPECT_EQ(q.drained(), nodes.size());
+  EXPECT_EQ(q.retried(), 0u);
+  EXPECT_EQ(q.enqueued(), nodes.size());
+  for (int n = 0; n < beyond; ++n)  // every in-range node was steered
+    EXPECT_GT(fleet[static_cast<std::size_t>(n)].external_bandwidth_gbps(),
+              0.0);
+
+  // The queue stays usable: in-range nodes still coalesce afterwards.
+  EXPECT_TRUE(q.enqueue(2, "park", 2.0));
+  EXPECT_FALSE(q.enqueue(2, "ring", 2.5));
+  EXPECT_TRUE(q.enqueue(INT_MAX, "ring", 2.5));
+  const auto again = q.drain_batch(fleet, 3.0, rng);
+  ASSERT_EQ(again.size(), 2u);
+  EXPECT_TRUE(again[0].ok());
+  EXPECT_EQ(again[0].request.session, "ring");
+  EXPECT_TRUE(again[1].permanent);
+  EXPECT_EQ(q.drained(), nodes.size() + 2);
 }
 
 }  // namespace

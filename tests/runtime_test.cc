@@ -1,16 +1,23 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cmath>
+#include <cstdint>
 #include <stdexcept>
+#include <string>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include "src/common/error.h"
 #include "src/common/rng.h"
+#include "src/common/serde.h"
 #include "src/runtime/report.h"
 #include "src/runtime/substream.h"
 #include "src/runtime/sweep.h"
 #include "src/runtime/thread_pool.h"
+#include "tests/memory_shard_context.h"
 
 namespace ihbd::runtime {
 namespace {
@@ -413,6 +420,126 @@ TEST(GenericSweep, TrialRngMatchesEngineSubstreams) {
                 rng.uniform());
     }
   }
+}
+
+// --- Concurrent trials within one cell -------------------------------------
+
+/// One trial's record: its index and its first substream draw.
+struct TrialMark {
+  int trial;
+  std::uint64_t draw;
+  bool operator==(const TrialMark&) const = default;
+};
+
+SweepSpec one_cell_spec(int trials) {
+  SweepSpec spec;
+  spec.seed = 4242;
+  spec.trials = trials;
+  spec.axes = {Axis::of_values("x", {1.0})};
+  return spec;
+}
+
+/// A trial that finishes LATER the earlier it is: on a multi-worker pool,
+/// successors complete first and must park until their turn to fold.
+TrialMark staggered_trial(const Scenario& s, Rng& rng) {
+  const int left = s.spec().trials - s.trial();
+  std::this_thread::sleep_for(std::chrono::milliseconds(2 * left));
+  return TrialMark{s.trial(), rng.next()};
+}
+
+std::string marks_bytes(const std::vector<TrialMark>& marks) {
+  serde::Writer w;
+  for (const TrialMark& m : marks) {
+    w.u64(static_cast<std::uint64_t>(m.trial));
+    w.u64(m.draw);
+  }
+  return w.take();
+}
+
+TEST(ConcurrentTrials, FoldSeesTrialsInOrderOnAnyPoolSize) {
+  const SweepSpec spec = one_cell_spec(8);
+  std::string reference;
+  for (const int workers : {1, 2, 4}) {
+    ThreadPool pool(workers);
+    const auto result = run_sweep_reduce(
+        spec, std::vector<TrialMark>{}, staggered_trial,
+        [](std::vector<TrialMark>& acc, TrialMark&& m) { acc.push_back(m); },
+        0, &pool);
+    ASSERT_EQ(result.cells.size(), 1u);
+    const auto& marks = result.cells[0];
+    ASSERT_EQ(marks.size(), 8u) << workers << " workers";
+    for (int t = 0; t < 8; ++t) {
+      EXPECT_EQ(marks[static_cast<std::size_t>(t)].trial, t)
+          << workers << " workers";
+      EXPECT_EQ(marks[static_cast<std::size_t>(t)].draw,
+                trial_rng(spec, 0, t).next());
+    }
+    const std::string bytes = marks_bytes(marks);
+    if (reference.empty()) reference = bytes;
+    EXPECT_EQ(bytes, reference) << workers << " workers";
+  }
+}
+
+TEST(ConcurrentTrials, TrialsOfOneCellOverlapOnTwoWorkers) {
+  // Each trial announces itself, then waits (bounded) for the other. A
+  // serial per-cell loop would let trial 0 time out alone, so the cell
+  // folds 2 only if the two trials really ran at the same time.
+  ThreadPool pool(2);
+  std::atomic<int> started{0};
+  const auto result = run_sweep_reduce(
+      one_cell_spec(2), 0,
+      [&](const Scenario&, Rng&) {
+        started.fetch_add(1);
+        const auto deadline =
+            std::chrono::steady_clock::now() + std::chrono::seconds(10);
+        while (started.load() < 2 &&
+               std::chrono::steady_clock::now() < deadline) {
+          std::this_thread::sleep_for(std::chrono::microseconds(200));
+        }
+        return started.load() >= 2 ? 1 : 0;
+      },
+      [](int& acc, int saw_other) { acc += saw_other; }, 0, &pool);
+  EXPECT_EQ(result.cells[0], 2);
+}
+
+TEST(ConcurrentTrials, TrialSplitDurablePlanReducesToTheSameBytes) {
+  // The durable (sharded) executor runs the same concurrent trials; a plan
+  // that splits the cell's trials across shards must merge back to the
+  // bytes of the local run.
+  const SweepSpec spec = one_cell_spec(8);
+  const shard::ShardCodec<std::vector<TrialMark>> codec{
+      [](serde::Writer& w, const std::vector<TrialMark>& marks) {
+        w.u64(marks.size());
+        for (const TrialMark& m : marks) {
+          w.u64(static_cast<std::uint64_t>(m.trial));
+          w.u64(m.draw);
+        }
+      },
+      [](serde::Reader& r) {
+        std::vector<TrialMark> marks(r.u64());
+        for (TrialMark& m : marks) {
+          m.trial = static_cast<int>(r.u64());
+          m.draw = r.u64();
+        }
+        return marks;
+      },
+      [](std::vector<TrialMark>& into, std::vector<TrialMark>&& next) {
+        into.insert(into.end(), next.begin(), next.end());
+      }};
+  const auto fold = [](std::vector<TrialMark>& acc, TrialMark&& m) {
+    acc.push_back(m);
+  };
+  ThreadPool pool(4);
+  const auto local = run_sweep_reduce(spec, std::vector<TrialMark>{},
+                                      staggered_trial, fold, 0, &pool);
+  MemoryShardContext ctx({.max_shards = 3, .split_trials = true});
+  AmbientContext ambient(&ctx);
+  const auto sharded = run_sweep_reduce(spec, std::vector<TrialMark>{},
+                                        staggered_trial, fold, 0, &pool,
+                                        &codec);
+  ASSERT_EQ(sharded.cells.size(), 1u);
+  EXPECT_EQ(marks_bytes(sharded.cells[0]), marks_bytes(local.cells[0]));
+  EXPECT_EQ(sharded.cells[0].size(), 8u);
 }
 
 // --- Report ---------------------------------------------------------------
