@@ -3,10 +3,10 @@
 // per HBD architecture. Headline (§1): InfiniteHBD TP-32 waste 0.53% vs
 // NVL-72 10.04% and TPUv4 7.56%.
 //
-// Runs on the generic sweep engine: each (TP, arch) cell replays the trace
-// in windows and carries a full TraceWasteResult. Cells AND their windows
-// share one work-stealing pool (nested parallel_for), and the tables stay
-// bit-identical for any --threads value.
+// Runs on the generic sweep engine: each (TP, arch) cell is one incremental
+// replay of the trace and carries a full TraceWasteResult. Cells fan out
+// over the thread pool, and the tables stay bit-identical for any --threads
+// value.
 #include "bench/bench_util.h"
 #include "bench/fault_bench_common.h"
 

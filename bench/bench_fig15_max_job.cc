@@ -2,10 +2,10 @@
 // cluster per architecture and TP size, replaying the production trace
 // (upper limit 2,880).
 //
-// Runs on the generic sweep engine: each (TP, arch) cell replays the trace
-// in windows and carries the usable-GPUs series the job-scale quantile is
-// derived from. Cells and their windows share one work-stealing pool
-// (nested parallel_for); bit-identical for any --threads value.
+// Runs on the generic sweep engine: each (TP, arch) cell is one incremental
+// replay of the trace and carries the usable-GPUs series the job-scale
+// quantile is derived from. Cells fan out over the thread pool;
+// bit-identical for any --threads value.
 #include "bench/bench_util.h"
 #include "bench/fault_bench_common.h"
 

@@ -3,8 +3,8 @@
 // usable GPUs fall below its requirement, over the production trace.
 //
 // Runs on the generic sweep engine via the shared replay grid: each
-// (TP, arch) cell replays the trace in windows, cells and windows share one
-// work-stealing pool, and the tables stay bit-identical for any --threads
+// (TP, arch) cell is one incremental replay of the trace, cells fan out
+// over the thread pool, and the tables stay bit-identical for any --threads
 // value (and across --shard-dir fleets — the grid carries the trace-waste
 // shard codec).
 #include "bench/bench_util.h"

@@ -5,8 +5,8 @@
 // Runs on the generic sweep engine with keep_samples=false: each (TP, arch)
 // cell keeps only the replayed time series (what this figure prints), not a
 // duplicate per-sample array inside the summary accumulator, bounding
-// memory on fleet-scale sweeps. Cells and their windows share one
-// work-stealing pool (nested parallel_for); bit-identical for any
+// memory on fleet-scale sweeps. Each cell is one incremental replay of the
+// trace; cells fan out over the thread pool, bit-identical for any
 // --threads value.
 #include "bench/bench_util.h"
 #include "bench/fault_bench_common.h"

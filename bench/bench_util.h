@@ -21,6 +21,7 @@
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
 #include "src/runtime/shard.h"
+#include "src/runtime/thread_pool.h"
 #include "src/sweepd/protocol.h"
 
 namespace ihbd::bench {
@@ -118,13 +119,14 @@ inline fault::TraceModel parse_trace_model(const char* prog,
 }
 
 inline int parse_positive_int(const char* prog, const std::string& flag,
-                              const char* text) {
+                              const char* text,
+                              int max = std::numeric_limits<int>::max()) {
   char* end = nullptr;
   errno = 0;
   const long long v = std::strtoll(text, &end, 10);
-  if (end == text || *end != '\0' || errno == ERANGE || v <= 0 ||
-      v > std::numeric_limits<int>::max())
-    usage_error(prog, flag + " expects a positive integer, got '" +
+  if (end == text || *end != '\0' || errno == ERANGE || v <= 0 || v > max)
+    usage_error(prog, flag + " expects an integer in [1, " +
+                          std::to_string(max) + "], got '" +
                           std::string(text) + "'");
   return static_cast<int>(v);
 }
@@ -171,7 +173,8 @@ inline Options parse_args(int argc, char** argv) {
       opt.trials = detail::parse_positive_int(prog, arg, argv[i]);
     } else if (arg == "--threads") {
       if (++i >= argc) detail::usage_error(prog, "--threads expects a value");
-      opt.threads = detail::parse_positive_int(prog, arg, argv[i]);
+      opt.threads =
+          detail::parse_positive_int(prog, arg, argv[i], runtime::kMaxWorkers);
     } else if (arg == "--trace-model") {
       if (++i >= argc)
         detail::usage_error(prog, "--trace-model expects poisson|physics|storm");

@@ -25,8 +25,8 @@
 //
 // The registry lookup takes a mutex — resolve handles once (constructor,
 // static) and keep the reference; references stay valid for the process
-// lifetime. Names are shared across instances (two ThreadPools both bump
-// "pool.tasks_executed"): metrics are fleet aggregates, not per-object.
+// lifetime. Names are shared across instances (two concurrent sweeps both
+// bump "sweep.trials"): metrics are fleet aggregates, not per-object.
 //
 // obs::snapshot() merges all shards into a MetricsSnapshot — a plain value
 // type that itself merges associatively (counters/histograms add, gauges

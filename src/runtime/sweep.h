@@ -17,8 +17,8 @@
 //
 //   plan    — shard::plan_shards partitions the grid into ShardSpecs,
 //             deterministically from the spec alone.
-//   execute — every (cell, trial) pair of a shard is a task on a
-//             work-stealing ThreadPool, so the trials of ONE cell may run
+//   execute — every (cell, trial) pair of a shard is one parallel_for
+//             index on a ThreadPool, so the trials of ONE cell may run
 //             concurrently. Each pair draws from its own RNG substream
 //             derived from (spec.seed, global trial index), and a per-cell
 //             in-order commit folds a cell's trials strictly in trial
@@ -470,11 +470,11 @@ GenericSweepResult<Acc> run_sweep_sharded(const SweepSpec& spec, Acc init,
 /// its own substream and folds in trial order, results are bit-identical
 /// for any thread count.
 ///
-/// Execution substrate: an explicit `pool` wins (pass the SAME pool into
-/// any nested fan-out inside the trial, so the work-stealing scheduler lets
-/// a cell's inner parallelism recruit idle sweep workers). With pool ==
-/// nullptr, threads == 0 fans out on the process-wide ThreadPool::shared();
-/// threads > 0 uses a dedicated transient pool of that width.
+/// Execution substrate: an explicit `pool` wins. With pool == nullptr,
+/// threads == 0 fans out on the process-wide ThreadPool::shared(); threads
+/// > 0 uses a dedicated transient pool of that width. A trial that fans out
+/// on the sweep's own pool runs that inner range inline (see
+/// src/runtime/thread_pool.h).
 ///
 /// Distribution: when an ambient shard::ShardContext is installed
 /// (bench_util --shard-dir) AND `codec` is non-null, the sweep runs as

@@ -1,77 +1,41 @@
 #include "src/runtime/thread_pool.h"
 
 #include <algorithm>
-#include <chrono>
-#include <thread>
-#include <utility>
+#include <atomic>
+#include <exception>
 
 #include "src/common/contracts.h"
-#include "src/obs/metrics.h"
 
 namespace ihbd::runtime {
 
 namespace {
-// The pool whose worker_loop runs on this thread (if any) and the index of
-// that worker within it. Lets enqueue target the calling worker's own deque
-// (LIFO locality) and lets pop_task skip the useless self-steal.
-thread_local ThreadPool* tls_pool = nullptr;
-thread_local std::size_t tls_worker = 0;
 
-/// Nanoseconds between two steady_clock points; taken only when obs is on.
-std::uint64_t elapsed_ns(std::chrono::steady_clock::time_point t0) {
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now() - t0)
-          .count());
-}
+// One link of the chain of fan-outs whose bodies this thread is running,
+// innermost first. A worker's chain continues with the poster's chain, so a
+// fan-out nested through another pool is recognised; a caller restores its
+// chain afterwards, so a worker of one pool can call into another.
+struct Frame {
+  const ThreadPool* pool;
+  const Frame* outer;
+};
+thread_local const Frame* tls_frames = nullptr;
+
 }  // namespace
 
-struct ThreadPool::Worker {
-  std::mutex mu;
-  std::deque<Task> tasks;  ///< back = owner's LIFO end, front = steal end
-  /// Round-robin steal cursor; touched only by the owning thread.
-  std::size_t next_victim = 0;
-  std::thread thread;
+/// One parallel_for call, on the caller's stack until no worker is inside.
+struct ThreadPool::Job {
+  std::size_t n;
+  const std::function<void(std::size_t)>* body;
+  const Frame* outer;  ///< the posting thread's fan-out chain
+  std::atomic<std::size_t> next{0};
+  std::atomic<bool> failed{false};
+  std::exception_ptr error;  ///< first thrown; guarded by ThreadPool::mu_
+  int active = 0;            ///< workers inside work_on; guarded by mu_
 };
 
-// --- TaskGroup --------------------------------------------------------------
-
-TaskGroup::~TaskGroup() {
-  // Join without observing exceptions (wait() must be called for that);
-  // never let a still-running task outlive the state it captured.
-  pool_->help_until([this] {
-    return pending_.load(std::memory_order_acquire) == 0;
-  });
-}
-
-void TaskGroup::run(std::function<void()> task) {
-  pool_->enqueue(ThreadPool::Task{std::move(task), this});
-}
-
-void TaskGroup::capture(std::exception_ptr error) {
-  std::lock_guard<std::mutex> lock(error_mu_);
-  if (!error_) error_ = std::move(error);
-  failed_.store(true, std::memory_order_relaxed);
-}
-
-void TaskGroup::wait() {
-  pool_->help_until([this] {
-    return pending_.load(std::memory_order_acquire) == 0;
-  });
-  std::exception_ptr error;
-  {
-    std::lock_guard<std::mutex> lock(error_mu_);
-    error = std::exchange(error_, nullptr);
-    failed_.store(false, std::memory_order_relaxed);
-  }
-  if (error) std::rethrow_exception(error);
-}
-
-// --- ThreadPool -------------------------------------------------------------
-
 int ThreadPool::default_threads() {
-  const unsigned hw = std::thread::hardware_concurrency();
-  return hw == 0 ? 1 : static_cast<int>(hw);
+  return static_cast<int>(std::clamp<unsigned>(
+      std::thread::hardware_concurrency(), 1, unsigned{kMaxWorkers}));
 }
 
 ThreadPool& ThreadPool::shared() {
@@ -80,260 +44,89 @@ ThreadPool& ThreadPool::shared() {
   return pool;
 }
 
-ThreadPool::ThreadPool(int threads) : root_(*this) {
-  IHBD_EXPECTS(threads >= 0);
+ThreadPool::ThreadPool(int threads) {
+  IHBD_EXPECTS(threads >= 0 && threads <= kMaxWorkers);
   if (threads == 0) threads = default_threads();
-  // Resolve the metric handles BEFORE any worker starts: this also orders
-  // the obs registry's construction before this pool's, so the registry
-  // outlives the shared() pool's shutdown drain at process exit.
-  obs_ = ObsRefs{&obs::counter("pool.tasks_executed"),
-                 &obs::counter("pool.tasks_stolen"),
-                 &obs::counter("pool.steal_attempts"),
-                 &obs::counter("pool.steal_failures"),
-                 &obs::counter("pool.tasks_injected"),
-                 &obs::counter("pool.wake_signals"),
-                 &obs::counter("pool.busy_ns"),
-                 &obs::counter("pool.idle_ns"),
-                 &obs::gauge("pool.inject_depth"),
-                 &obs::gauge("pool.wake_epoch")};
-  workers_.reserve(static_cast<std::size_t>(threads));
-  // Materialize every Worker before any thread starts: workers steal by
-  // scanning workers_, which must never resize under them.
-  for (int i = 0; i < threads; ++i)
-    workers_.push_back(std::make_unique<Worker>());
-  for (int i = 0; i < threads; ++i) {
-    const auto self = static_cast<std::size_t>(i);
-    workers_[self]->thread = std::thread([this, self] { worker_loop(self); });
-  }
-}
-
-ThreadPool::~ThreadPool() {
-  {
-    std::lock_guard<std::mutex> lock(wake_mu_);
-    stop_ = true;
-    ++wake_epoch_;
-  }
-  wake_cv_.notify_all();
-  for (auto& w : workers_) w->thread.join();
-}
-
-void ThreadPool::signal(bool assert_not_stopped) {
-  std::uint64_t epoch;
-  {
-    std::lock_guard<std::mutex> lock(wake_mu_);
-    if (assert_not_stopped) IHBD_EXPECTS(!stop_);
-    epoch = ++wake_epoch_;
-  }
-  if (obs::enabled()) {
-    obs_.wake_signals->add(1);
-    obs_.wake_epoch->set(static_cast<double>(epoch));
-  }
-  wake_cv_.notify_all();
-}
-
-void ThreadPool::enqueue(Task task) {
-  task.group->pending_.fetch_add(1, std::memory_order_relaxed);
-  in_flight_.fetch_add(1, std::memory_order_relaxed);
-  if (tls_pool == this) {
-    Worker& self = *workers_[tls_worker];
-    std::lock_guard<std::mutex> lock(self.mu);
-    self.tasks.push_back(std::move(task));
-  } else {
-    std::size_t depth;
-    {
-      std::lock_guard<std::mutex> lock(inject_mu_);
-      inject_.push_back(std::move(task));
-      depth = inject_.size();
-    }
-    if (obs::enabled()) {
-      obs_.injected->add(1);
-      obs_.inject_depth->set(static_cast<double>(depth));
-    }
-  }
-  // Forks from this pool's own tasks stay legal during the destructor's
-  // shutdown drain — the draining workers complete them (a drained task
-  // may run a nested parallel_for). Only a NON-worker thread enqueueing
-  // into a stopping pool is a lifetime bug in the caller.
-  signal(/*assert_not_stopped=*/tls_pool != this);
-}
-
-bool ThreadPool::pop_task(Task& out) {
-  const bool on_pool = tls_pool == this;
-  if (on_pool) {
-    Worker& self = *workers_[tls_worker];
-    std::lock_guard<std::mutex> lock(self.mu);
-    if (!self.tasks.empty()) {
-      out = std::move(self.tasks.back());
-      self.tasks.pop_back();
-      return true;
-    }
-  }
-  {
-    std::lock_guard<std::mutex> lock(inject_mu_);
-    if (!inject_.empty()) {
-      out = std::move(inject_.front());
-      inject_.pop_front();
-      return true;
-    }
-  }
-  const bool obs_on = obs::enabled();
-  if (obs_on) obs_.steal_attempts->add(1);
-  const std::size_t n = workers_.size();
-  const std::size_t start = on_pool ? workers_[tls_worker]->next_victim++ : 0;
-  for (std::size_t k = 0; k < n; ++k) {
-    Worker& victim = *workers_[(start + k) % n];
-    if (on_pool && &victim == workers_[tls_worker].get()) continue;
-    std::lock_guard<std::mutex> lock(victim.mu);
-    if (!victim.tasks.empty()) {
-      out = std::move(victim.tasks.front());
-      victim.tasks.pop_front();
-      if (obs_on) obs_.stolen->add(1);
-      return true;
-    }
-  }
-  if (obs_on) obs_.steal_failures->add(1);
-  return false;
-}
-
-void ThreadPool::run_task(Task&& task) {
-  TaskGroup* group = task.group;
-  const bool obs_on = obs::enabled();
-  const auto t0 = obs_on ? std::chrono::steady_clock::now()
-                         : std::chrono::steady_clock::time_point{};
   try {
-    task.fn();
-  } catch (...) {
-    group->capture(std::current_exception());
-  }
-  if (obs_on) {
-    obs_.executed->add(1);
-    obs_.busy_ns->add(elapsed_ns(t0));
-  }
-  // Destroy the callable BEFORE announcing completion: once pending_ hits
-  // zero a joiner may return and tear down whatever the callable captured.
-  task.fn = nullptr;
-  group->pending_.fetch_sub(1, std::memory_order_acq_rel);
-  // `group` may be dead from here on; only pool-owned state below.
-  in_flight_.fetch_sub(1, std::memory_order_release);
-  // false: completions during the shutdown drain are legal.
-  signal(/*assert_not_stopped=*/false);
-}
-
-bool ThreadPool::try_run_one() {
-  Task task;
-  if (!pop_task(task)) return false;
-  run_task(std::move(task));
-  return true;
-}
-
-void ThreadPool::help_until(const std::function<bool()>& done) {
-  while (!done()) {
-    if (try_run_one()) continue;
-    std::uint64_t epoch;
-    {
-      std::lock_guard<std::mutex> lock(wake_mu_);
-      epoch = wake_epoch_;
-    }
-    // Re-check after the snapshot: anything made visible before it is found
-    // here; anything after it moves the epoch and cancels the sleep.
-    if (done()) return;
-    if (try_run_one()) continue;
-    const bool obs_on = obs::enabled();
-    const auto t0 = obs_on ? std::chrono::steady_clock::now()
-                           : std::chrono::steady_clock::time_point{};
-    {
-      std::unique_lock<std::mutex> lock(wake_mu_);
-      wake_cv_.wait(lock, [&] { return wake_epoch_ != epoch || done(); });
-    }
-    if (obs_on) obs_.idle_ns->add(elapsed_ns(t0));
+    for (int i = 0; i < threads; ++i)
+      workers_.emplace_back([this] { worker_loop(); });
+  } catch (...) {  // a thread failed to start: join those that did
+    stop_and_join();
+    throw;
   }
 }
 
-void ThreadPool::worker_loop(std::size_t self) {
-  tls_pool = this;
-  tls_worker = self;
-  for (;;) {
-    if (try_run_one()) continue;
-    std::uint64_t epoch;
-    {
-      std::lock_guard<std::mutex> lock(wake_mu_);
-      if (stop_) break;
-      epoch = wake_epoch_;
-    }
-    if (try_run_one()) continue;
-    const bool obs_on = obs::enabled();
-    const auto t0 = obs_on ? std::chrono::steady_clock::now()
-                           : std::chrono::steady_clock::time_point{};
-    bool stopped;
-    {
-      std::unique_lock<std::mutex> lock(wake_mu_);
-      wake_cv_.wait(lock, [&] { return stop_ || wake_epoch_ != epoch; });
-      stopped = stop_;
-    }
-    if (obs_on) obs_.idle_ns->add(elapsed_ns(t0));
-    if (stopped) break;
-  }
-  // Shutdown drain: serve whatever is still queued so no enqueued task is
-  // ever silently dropped (same contract as the old shared-queue pool).
-  while (try_run_one()) {
-  }
-  tls_pool = nullptr;
-}
+ThreadPool::~ThreadPool() { stop_and_join(); }
 
-void ThreadPool::submit(std::function<void()> task) {
-  root_.run(std::move(task));
-}
-
-void ThreadPool::wait_idle() {
-  help_until([this] {
-    return in_flight_.load(std::memory_order_acquire) == 0;
-  });
-  std::exception_ptr error;
+void ThreadPool::stop_and_join() {
   {
-    std::lock_guard<std::mutex> lock(root_.error_mu_);
-    error = std::exchange(root_.error_, nullptr);
-    root_.failed_.store(false, std::memory_order_relaxed);
+    std::lock_guard<std::mutex> lock(mu_);
+    stop_ = true;
   }
-  if (error) std::rethrow_exception(error);
+  work_cv_.notify_all();
+  for (std::thread& w : workers_) w.join();
+}
+
+void ThreadPool::worker_loop() {
+  std::uint64_t seen = 0;
+  std::unique_lock<std::mutex> lock(mu_);
+  for (;;) {
+    work_cv_.wait(lock, [&] { return stop_ || generation_ != seen; });
+    if (stop_) return;
+    seen = generation_;
+    Job* job = job_;
+    if (job == nullptr) continue;  // finished before this worker woke
+    ++job->active;
+    lock.unlock();
+    const Frame frame{this, job->outer};
+    tls_frames = &frame;
+    work_on(*job);  // never throws
+    tls_frames = nullptr;
+    lock.lock();
+    if (--job->active == 0) done_cv_.notify_one();
+  }
+}
+
+void ThreadPool::work_on(Job& job) {
+  try {
+    for (;;) {
+      if (job.failed.load(std::memory_order_relaxed)) return;
+      const std::size_t i = job.next.fetch_add(1, std::memory_order_relaxed);
+      if (i >= job.n) return;
+      (*job.body)(i);
+    }
+  } catch (...) {
+    std::lock_guard<std::mutex> lock(mu_);
+    if (!job.error) job.error = std::current_exception();
+    job.failed.store(true, std::memory_order_relaxed);
+  }
 }
 
 void ThreadPool::parallel_for(std::size_t n,
-                              const std::function<void(std::size_t)>& body,
-                              std::size_t grain) {
+                              const std::function<void(std::size_t)>& body) {
   if (n == 0) return;
-  if (grain == 0)
-    grain = std::max<std::size_t>(1, n / (workers_.size() * 8));
-
-  // Shared fan-out state lives on this frame: every chunk runner is joined
-  // before the function returns (at the latest by ~TaskGroup's drain, which
-  // is why `next` is declared BEFORE `group` — queued runners may still
-  // execute during that drain and must find the cursor alive), so no heap
-  // indirection is needed.
-  std::atomic<std::size_t> next{0};
-  TaskGroup group(*this);
-  const auto run_chunks = [&group, &next, n, grain, &body] {
-    for (;;) {
-      if (group.failed()) return;  // cancel remaining chunks on first error
-      const std::size_t begin =
-          next.fetch_add(grain, std::memory_order_relaxed);
-      if (begin >= n) return;
-      const std::size_t end = std::min(n, begin + grain);
-      for (std::size_t i = begin; i < end; ++i) body(i);
-    }
-  };
-
-  // One stealable chunk runner per worker that could usefully help; the
-  // caller participates as the +1'th. Runners that lose the race to an
-  // exhausted cursor return immediately.
-  const std::size_t chunks = (n + grain - 1) / grain;
-  const std::size_t helpers = std::min<std::size_t>(workers_.size(), chunks);
-  for (std::size_t t = 0; t < helpers; ++t) group.run(run_chunks);
-  try {
-    run_chunks();
-  } catch (...) {
-    group.capture(std::current_exception());
+  for (const Frame* f = tls_frames; f != nullptr; f = f->outer) {
+    if (f->pool != this) continue;
+    // This pool is already busy with the fan-out this body belongs to.
+    for (std::size_t i = 0; i < n; ++i) body(i);
+    return;
   }
-  group.wait();  // helps, then rethrows the first captured exception
+  const std::lock_guard<std::mutex> one_caller(caller_mu_);
+  Job job{n, &body, tls_frames, {0}, {false}, nullptr, 0};
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    job_ = &job;
+    ++generation_;
+  }
+  work_cv_.notify_all();
+  const Frame frame{this, tls_frames};
+  tls_frames = &frame;
+  work_on(job);
+  tls_frames = frame.outer;
+  std::unique_lock<std::mutex> lock(mu_);
+  job_ = nullptr;  // workers that wake from here on skip it
+  done_cv_.wait(lock, [&] { return job.active == 0; });
+  if (job.error) std::rethrow_exception(job.error);
 }
 
 }  // namespace ihbd::runtime

@@ -40,6 +40,7 @@
 #include <unistd.h>
 
 #include "src/common/serde.h"
+#include "src/runtime/thread_pool.h"
 #include "src/sweepd/protocol.h"
 
 namespace {
@@ -84,6 +85,19 @@ struct DriverOptions {
   std::exit(2);
 }
 
+/// --workers N: an integer in [1, kMaxWorkers], checked before anything is
+/// forked.
+int parse_workers(const std::string& text) {
+  char* end = nullptr;
+  errno = 0;
+  const long long v = std::strtoll(text.c_str(), &end, 10);
+  if (end == text.c_str() || *end != '\0' || errno == ERANGE || v < 1 ||
+      v > ihbd::runtime::kMaxWorkers)
+    die("--workers expects an integer in [1, " +
+        std::to_string(ihbd::runtime::kMaxWorkers) + "], got '" + text + "'");
+  return static_cast<int>(v);
+}
+
 DriverOptions parse_options(int argc, char** argv, int first) {
   DriverOptions opt;
   int i = first;
@@ -108,7 +122,7 @@ DriverOptions parse_options(int argc, char** argv, int first) {
     } else if (arg == "--checkpoint-every") {
       opt.checkpoint_every = next();
     } else if (arg == "--workers") {
-      opt.workers = std::atoi(next().c_str());
+      opt.workers = parse_workers(next());
     } else if (arg == "-o" || arg == "--out") {
       opt.out_file = next();
     } else if (arg == "--") {
@@ -186,7 +200,6 @@ int wait_status(pid_t pid) {
 int cmd_run(const DriverOptions& opt) {
   std::error_code ec;
   fs::create_directories(fs::path(opt.dir) / "logs", ec);
-  if (opt.workers < 1) die("--workers must be >= 1");
   std::vector<pid_t> workers;
   for (int w = 0; w < opt.workers; ++w) {
     const std::string owner = "worker-" + std::to_string(w);

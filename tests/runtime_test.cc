@@ -1,11 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <stdexcept>
 #include <string>
+#include <functional>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -84,17 +86,18 @@ TEST(SubstreamSeq, MatchesExplicitLongJumps) {
 
 // --- ThreadPool -----------------------------------------------------------
 
+/// Spins until `count` bodies have arrived. With `count` = the pool's
+/// workers + 1 and at least that many indices, no thread can claim a second
+/// index before every thread (each worker AND the caller) holds one.
+void arrive_and_wait(std::atomic<std::size_t>& arrived, std::size_t count) {
+  ++arrived;
+  while (arrived.load() < count) std::this_thread::yield();
+}
+
 TEST(ThreadPool, ParallelForCoversEveryIndexOnce) {
   ThreadPool pool(4);
   std::vector<std::atomic<int>> hits(1000);
   pool.parallel_for(hits.size(), [&](std::size_t i) { ++hits[i]; });
-  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
-}
-
-TEST(ThreadPool, ParallelForHonorsGrain) {
-  ThreadPool pool(3);
-  std::vector<std::atomic<int>> hits(97);
-  pool.parallel_for(hits.size(), [&](std::size_t i) { ++hits[i]; }, 8);
   for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
 }
 
@@ -118,32 +121,198 @@ TEST(ThreadPool, PropagatesExceptionsAndStaysUsable) {
 }
 
 TEST(ThreadPool, ParallelForFromWorkerTaskCompletes) {
-  // A parallel_for issued from a task already running on the pool must not
-  // deadlock even with 1 worker: the blocked joiner executes the nested
-  // chunks from its own deque itself (work-stealing helping join).
-  ThreadPool pool(1);
-  std::atomic<int> ran{0};
-  pool.submit([&] { pool.parallel_for(10, [&](std::size_t) { ++ran; }); });
-  pool.wait_idle();
-  EXPECT_EQ(ran.load(), 10);
+  // Every thread of the fan-out (each worker AND the calling thread) runs
+  // exactly one outer body, which issues a nested parallel_for on the same
+  // pool. The calling thread's case is the one a plain "one outside caller
+  // at a time" mutex would deadlock on: it already holds that mutex.
+  for (int workers : {1, 2}) {
+    ThreadPool pool(workers);
+    const auto outer = static_cast<std::size_t>(workers + 1);
+    constexpr std::size_t kInner = 37;
+    std::vector<std::atomic<int>> hits(outer * kInner);
+    std::vector<std::thread::id> ran_on(outer);
+    std::atomic<std::size_t> arrived{0};
+    const std::thread::id caller = std::this_thread::get_id();
+    pool.parallel_for(outer, [&](std::size_t o) {
+      arrive_and_wait(arrived, outer);
+      ran_on[o] = std::this_thread::get_id();
+      pool.parallel_for(kInner, [&](std::size_t i) { ++hits[o * kInner + i]; });
+    });
+    for (const auto& h : hits) EXPECT_EQ(h.load(), 1) << "workers=" << workers;
+    EXPECT_EQ(std::count(ran_on.begin(), ran_on.end(), caller), 1)
+        << "workers=" << workers;
+    std::sort(ran_on.begin(), ran_on.end());
+    EXPECT_EQ(std::unique(ran_on.begin(), ran_on.end()), ran_on.end())
+        << "workers=" << workers;
+  }
 }
 
-TEST(ThreadPool, SubmitAndWaitIdle) {
+TEST(ThreadPool, NestingBackThroughAnotherPoolRunsInline) {
+  // a -> b -> a: b's workers run a body of a's fan-out on a's behalf, so
+  // their nested call into a must run inline rather than wait for a (whose
+  // outside-caller mutex is held by the thread waiting on them). The
+  // barrier makes both of b's workers take part in every b fan-out.
+  ThreadPool a(2), b(2);
+  std::vector<std::atomic<int>> hits(3 * 3 * 6);
+  std::vector<std::atomic<std::size_t>> arrived(3);
+  a.parallel_for(3, [&](std::size_t i) {
+    b.parallel_for(3, [&](std::size_t j) {
+      arrive_and_wait(arrived[i], 3);
+      a.parallel_for(6, [&](std::size_t k) { ++hits[(i * 3 + j) * 6 + k]; });
+    });
+  });
+  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
+}
+
+TEST(ThreadPool, ConcurrentOutsideCallersBothComplete) {
+  ThreadPool pool(2);
+  constexpr std::size_t kN = 2000;
+  std::vector<std::atomic<int>> hits_a(kN), hits_b(kN);
+  const auto caller = [&pool](std::vector<std::atomic<int>>& hits) {
+    for (int round = 0; round < 20; ++round)
+      pool.parallel_for(hits.size(), [&](std::size_t i) { ++hits[i]; });
+  };
+  std::thread ta(caller, std::ref(hits_a));
+  std::thread tb(caller, std::ref(hits_b));
+  ta.join();
+  tb.join();
+  for (std::size_t i = 0; i < kN; ++i) {
+    EXPECT_EQ(hits_a[i].load(), 20);
+    EXPECT_EQ(hits_b[i].load(), 20);
+  }
+}
+
+TEST(ThreadPool, ThrowSkipsRemainingIndicesAndNextCallCoversAll) {
+  // Every thread joins (barrier over indices 0..3) before index 0 throws,
+  // so only the cancellation stops the other three from running all kN.
   ThreadPool pool(3);
-  std::atomic<int> ran{0};
-  for (int i = 0; i < 20; ++i) pool.submit([&] { ++ran; });
-  pool.wait_idle();
-  EXPECT_EQ(ran.load(), 20);
-  pool.wait_idle();  // idempotent on an idle pool
+  constexpr std::size_t kN = 10000;
+  std::atomic<std::size_t> ran{0}, arrived{0};
+  EXPECT_THROW(pool.parallel_for(kN,
+                                 [&](std::size_t i) {
+                                   ++ran;
+                                   if (i < 4) arrive_and_wait(arrived, 4);
+                                   if (i == 0) throw ConfigError("first");
+                                   std::this_thread::sleep_for(
+                                       std::chrono::microseconds(20));
+                                 }),
+               ConfigError);
+  EXPECT_LT(ran.load(), kN);
+  std::vector<std::atomic<int>> hits(kN);
+  pool.parallel_for(kN, [&](std::size_t i) { ++hits[i]; });
+  for (const auto& h : hits) ASSERT_EQ(h.load(), 1);
 }
 
-TEST(ThreadPool, ParallelMapPreservesOrder) {
-  std::vector<int> items;
-  for (int i = 0; i < 200; ++i) items.push_back(i);
-  const auto out =
-      parallel_map(items, [](int v) { return v * v; }, 4);
-  ASSERT_EQ(out.size(), items.size());
-  for (int i = 0; i < 200; ++i) EXPECT_EQ(out[i], i * i);
+TEST(ThreadPool, ConstructUseDestroyJoinsCleanly) {
+  for (int iter = 0; iter < 50; ++iter) {
+    std::atomic<int> ran{0};
+    {
+      ThreadPool pool(1 + iter % 3);
+      if (iter % 2 == 0)
+        pool.parallel_for(10, [&](std::size_t) { ++ran; });
+    }
+    ASSERT_EQ(ran.load(), iter % 2 == 0 ? 10 : 0) << "iteration " << iter;
+  }
+}
+
+// Deterministic per-(cell, window) value with uneven per-index cost: the
+// serial oracle for a nested fan-out (an outer grid whose cells each fan
+// out an inner range on the SAME pool).
+double cell_window_value(std::size_t cell, std::size_t window) {
+  Rng rng = substream(1234, cell * 1024 + window);
+  double x = static_cast<double>(cell);
+  const int draws = 1 + static_cast<int>(rng.uniform_index(16));
+  for (int k = 0; k < draws; ++k) x += rng.normal(0.0, 1.0);
+  return x;
+}
+
+TEST(ThreadPool, NestedParallelForMatchesSerialOracle) {
+  constexpr std::size_t kCells = 6, kWindows = 40;
+  std::vector<double> oracle(kCells * kWindows);
+  for (std::size_t c = 0; c < kCells; ++c)
+    for (std::size_t w = 0; w < kWindows; ++w)
+      oracle[c * kWindows + w] = cell_window_value(c, w);
+
+  for (int workers : {1, 2, 8}) {
+    ThreadPool pool(workers);
+    std::vector<double> out(kCells * kWindows, 0.0);
+    pool.parallel_for(kCells, [&](std::size_t c) {
+      // Inner fan-out on the same pool runs inline; bodies own their
+      // (c, w) slot, so the result is bit-identical for any width.
+      pool.parallel_for(kWindows, [&](std::size_t w) {
+        out[c * kWindows + w] = cell_window_value(c, w);
+      });
+    });
+    EXPECT_EQ(out, oracle) << "workers=" << workers;  // bitwise
+  }
+}
+
+TEST(ThreadPool, ThreeNestingLevelsCoverEveryIndexOnce) {
+  ThreadPool pool(4);
+  constexpr std::size_t kA = 3, kB = 4, kC = 5;
+  std::vector<std::atomic<int>> hits(kA * kB * kC);
+  pool.parallel_for(kA, [&](std::size_t a) {
+    pool.parallel_for(kB, [&](std::size_t b) {
+      pool.parallel_for(kC, [&](std::size_t c) {
+        ++hits[(a * kB + b) * kC + c];
+      });
+    });
+  });
+  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
+}
+
+TEST(ThreadPool, StressRandomizedDurationsAndNesting) {
+  // Bodies spin for pseudo-random durations so claim order varies from
+  // round to round; every round must still execute every (outer, inner)
+  // index exactly once.
+  ThreadPool pool(8);
+  for (std::uint64_t round = 0; round < 15; ++round) {
+    constexpr std::size_t kOuter = 61;
+    std::vector<std::atomic<int>> outer_hits(kOuter);
+    std::atomic<long long> inner_total{0};
+    long long expect_inner = 0;
+    for (std::size_t i = 0; i < kOuter; ++i)
+      expect_inner += 1 + static_cast<long long>(i % 5);
+
+    pool.parallel_for(kOuter, [&](std::size_t i) {
+      Rng rng = substream(round, i);
+      volatile double sink = 0.0;
+      const int spin = static_cast<int>(rng.uniform_index(3000));
+      for (int k = 0; k < spin; ++k) sink = sink + static_cast<double>(k);
+      pool.parallel_for(1 + i % 5, [&](std::size_t) {
+        inner_total.fetch_add(1, std::memory_order_relaxed);
+      });
+      ++outer_hits[i];
+    });
+    for (const auto& h : outer_hits) ASSERT_EQ(h.load(), 1);
+    EXPECT_EQ(inner_total.load(), expect_inner) << "round " << round;
+  }
+}
+
+TEST(ThreadPool, ExceptionFromInnerNestingLevelPropagates) {
+  ThreadPool pool(4);
+  EXPECT_THROW(
+      pool.parallel_for(8,
+                        [&](std::size_t c) {
+                          pool.parallel_for(16, [&](std::size_t w) {
+                            if (c == 3 && w == 11)
+                              throw ConfigError("inner nesting failure");
+                          });
+                        }),
+      ConfigError);
+  // The pool must survive a failed nested fan-out.
+  std::atomic<int> ran{0};
+  pool.parallel_for(50, [&](std::size_t) { ++ran; });
+  EXPECT_EQ(ran.load(), 50);
+}
+
+TEST(SharedPool, IsProcessWideAndUsable) {
+  ThreadPool& a = ThreadPool::shared();
+  EXPECT_EQ(&a, &ThreadPool::shared());
+  EXPECT_GE(a.size(), 1);
+  std::atomic<int> ran{0};
+  a.parallel_for(100, [&](std::size_t) { ++ran; });
+  EXPECT_EQ(ran.load(), 100);
 }
 
 // --- Accumulator ----------------------------------------------------------
