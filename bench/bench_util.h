@@ -8,13 +8,14 @@
 // byte-identical with instrumentation on or off — CI diffs them.
 #pragma once
 
-#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <limits>
 #include <memory>
+#include <optional>
 #include <string>
 
+#include "src/common/cli.h"
 #include "src/common/csv.h"
 #include "src/common/table.h"
 #include "src/fault/physics_generator.h"
@@ -121,26 +122,21 @@ inline fault::TraceModel parse_trace_model(const char* prog,
 inline int parse_positive_int(const char* prog, const std::string& flag,
                               const char* text,
                               int max = std::numeric_limits<int>::max()) {
-  char* end = nullptr;
-  errno = 0;
-  const long long v = std::strtoll(text, &end, 10);
-  if (end == text || *end != '\0' || errno == ERANGE || v <= 0 || v > max)
+  const std::optional<int> v = cli::parse_count(text, max);
+  if (!v)
     usage_error(prog, flag + " expects an integer in [1, " +
                           std::to_string(max) + "], got '" +
                           std::string(text) + "'");
-  return static_cast<int>(v);
+  return *v;
 }
 
 inline double parse_seconds(const char* prog, const std::string& flag,
                             const char* text, bool allow_zero) {
-  char* end = nullptr;
-  errno = 0;
-  const double v = std::strtod(text, &end);
-  if (end == text || *end != '\0' || errno == ERANGE || v < 0.0 ||
-      (!allow_zero && v == 0.0))
+  const std::optional<double> v = cli::parse_seconds(text, allow_zero);
+  if (!v)
     usage_error(prog, flag + " expects a duration in seconds, got '" +
                           std::string(text) + "'");
-  return v;
+  return *v;
 }
 
 /// The ambient FileShardContext installed by --shard-dir. Owned here so it

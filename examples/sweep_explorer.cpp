@@ -8,7 +8,10 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
+#include <optional>
 
+#include "src/common/cli.h"
 #include "src/fault/trace.h"
 #include "src/runtime/report.h"
 #include "src/runtime/sweep.h"
@@ -19,23 +22,32 @@ using namespace ihbd;
 
 namespace {
 
-int positive_arg(const char* text, const char* what) {
-  const int v = std::atoi(text);
-  if (v <= 0) {
-    std::fprintf(stderr, "sweep_explorer: %s must be a positive integer, "
-                         "got '%s'\nusage: sweep_explorer [trials] [threads]\n",
-                 what, text);
+/// A count argument: the whole text an integer in [1, max], else exit 2.
+int count_arg(const char* text, const char* what,
+              int max = std::numeric_limits<int>::max()) {
+  const std::optional<int> v = cli::parse_count(text, max);
+  if (!v) {
+    std::fprintf(stderr,
+                 "sweep_explorer: %s expects an integer in [1, %d], got "
+                 "'%s'\nusage: sweep_explorer [trials] [threads]\n",
+                 what, max, text);
     std::exit(2);
   }
-  return v;
+  return *v;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  const int trials = argc > 1 ? positive_arg(argv[1], "trials") : 100;
-  const int threads = argc > 2 ? positive_arg(argv[2], "threads")
-                               : runtime::ThreadPool::default_threads();
+  if (argc > 3) {
+    std::fprintf(stderr, "usage: sweep_explorer [trials] [threads]\n");
+    return 2;
+  }
+  // Both counts are checked before any pool exists.
+  const int trials = argc > 1 ? count_arg(argv[1], "trials") : 100;
+  const int threads = argc > 2
+                          ? count_arg(argv[2], "threads", runtime::kMaxWorkers)
+                          : runtime::ThreadPool::default_threads();
 
   // The §6.1 architecture set on the 720-node (2,880-GPU) simulation
   // cluster (TPUv4 requires the node count to tile its 4x4x4 cubes).

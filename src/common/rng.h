@@ -9,6 +9,8 @@
 #include <cstdint>
 #include <vector>
 
+#include "src/common/contracts.h"
+
 namespace ihbd {
 
 /// xoshiro256** PRNG with distribution helpers. Not thread-safe; use one
@@ -23,13 +25,27 @@ class Rng {
   static constexpr result_type max() { return ~0ull; }
   result_type operator()() { return next(); }
 
-  /// Next raw 64-bit value.
-  std::uint64_t next();
+  /// Next raw 64-bit value. (next() and the uniform draws are inline: the
+  /// control plane draws one per switching transceiver.)
+  std::uint64_t next() {
+    const std::uint64_t result = rotl(s_[1] * 5, 7) * 9;
+    const std::uint64_t t = s_[1] << 17;
+    s_[2] ^= s_[0];
+    s_[3] ^= s_[1];
+    s_[1] ^= s_[2];
+    s_[0] ^= s_[3];
+    s_[2] ^= t;
+    s_[3] = rotl(s_[3], 45);
+    return result;
+  }
 
-  /// Uniform double in [0, 1).
-  double uniform();
+  /// Uniform double in [0, 1): 53 random mantissa bits.
+  double uniform() { return static_cast<double>(next() >> 11) * 0x1.0p-53; }
   /// Uniform double in [lo, hi).
-  double uniform(double lo, double hi);
+  double uniform(double lo, double hi) {
+    IHBD_EXPECTS(lo <= hi);
+    return lo + (hi - lo) * uniform();
+  }
   /// Uniform integer in [0, n). Requires n > 0.
   std::uint64_t uniform_index(std::uint64_t n);
   /// Uniform integer in [lo, hi] inclusive. Requires lo <= hi.
@@ -74,6 +90,10 @@ class Rng {
   }
 
  private:
+  static std::uint64_t rotl(std::uint64_t x, int k) {
+    return (x << k) | (x >> (64 - k));
+  }
+
   std::uint64_t s_[4];
   bool have_spare_normal_ = false;
   double spare_normal_ = 0.0;

@@ -6,12 +6,40 @@
 
 namespace ihbd::evsim {
 
+namespace {
+
+// An id is (generation << 32) | (slot + 1): the low half is never 0, so
+// neither is an id, and the first id handed out is 1.
+constexpr std::uint32_t kMaxGen = std::numeric_limits<std::uint32_t>::max();
+
+EventId make_id(std::uint32_t gen, std::uint32_t slot) {
+  return (static_cast<EventId>(gen) << 32) | (static_cast<EventId>(slot) + 1);
+}
+
+}  // namespace
+
+EventId Engine::arm(SimTime at, SimTime period, EventFn fn) {
+  std::uint32_t slot;
+  if (free_.empty()) {
+    IHBD_EXPECTS(slots_.size() < kMaxGen);
+    slot = static_cast<std::uint32_t>(slots_.size());
+    slots_.emplace_back();
+  } else {
+    slot = free_.back();
+    free_.pop_back();
+  }
+  Slot& s = slots_[slot];
+  s.fn = std::move(fn);
+  s.period = period;
+  s.state = SlotState::kQueued;
+  heap_.push(Key{at, seq_++, slot});
+  ++pending_;
+  return make_id(s.gen, slot);
+}
+
 EventId Engine::schedule_at(SimTime at, EventFn fn) {
   IHBD_EXPECTS(at >= now_);
-  const EventId id = next_id_++;
-  live_.emplace(id, 0.0);
-  queue_.push(Item{at, seq_++, id, std::move(fn)});
-  return id;
+  return arm(at, 0.0, std::move(fn));
 }
 
 EventId Engine::schedule_in(SimTime delay, EventFn fn) {
@@ -23,18 +51,38 @@ EventId Engine::schedule_every(SimTime first_delay, SimTime period,
                                EventFn fn) {
   IHBD_EXPECTS(first_delay >= 0.0);
   IHBD_EXPECTS(period > 0.0);
-  const EventId id = next_id_++;
-  live_.emplace(id, period);
-  queue_.push(Item{now_ + first_delay, seq_++, id, std::move(fn)});
-  return id;
+  return arm(now_ + first_delay, period, std::move(fn));
+}
+
+void Engine::kill(std::uint32_t slot) { ++slots_[slot].gen; }
+
+void Engine::release(std::uint32_t slot) {
+  Slot& s = slots_[slot];
+  s.fn = nullptr;
+  s.state = SlotState::kFree;
+  if (s.gen != kMaxGen) free_.push_back(slot);  // else retired: ids stay unique
 }
 
 bool Engine::cancel(EventId id) {
-  const auto it = live_.find(id);
-  if (it == live_.end()) return false;
-  live_.erase(it);
+  const auto low = static_cast<std::uint32_t>(id);
+  if (low == 0 || low > slots_.size()) return false;
+  const std::uint32_t slot = low - 1;
+  Slot& s = slots_[slot];
+  if (s.gen != static_cast<std::uint32_t>(id >> 32)) return false;
+  if (s.state == SlotState::kQueued) {
+    // Its heap key frees the slot when it surfaces.
+    s.state = SlotState::kCancelled;
+    s.fn = nullptr;
+    --pending_;
+  } else if (s.state == SlotState::kFiring) {
+    // A periodic timer cancelling itself: run_until frees the slot once
+    // the callback returns instead of re-arming it.
+    s.state = SlotState::kCancelled;
+  } else {
+    return false;
+  }
+  kill(slot);
   ++cancelled_;
-  ++dead_in_queue_;  // exactly one queue entry carries a live id
   return true;
 }
 
@@ -43,29 +91,37 @@ SimTime Engine::run() {
 }
 
 SimTime Engine::run_until(SimTime until) {
-  while (!queue_.empty() && queue_.top().at <= until) {
-    // Copy out; the callback may schedule new events (queue reallocation).
-    Item item = queue_.top();
-    queue_.pop();
-    const auto it = live_.find(item.id);
-    if (it == live_.end()) {
-      --dead_in_queue_;  // cancelled while queued: drop un-executed
+  while (!heap_.empty() && heap_.top().at <= until) {
+    const Key key = heap_.top();
+    heap_.pop();
+    Slot& s = slots_[key.slot];
+    if (s.state == SlotState::kCancelled) {
+      release(key.slot);  // cancelled while queued: drop un-executed
       continue;
     }
-    const SimTime period = it->second;
-    if (period == 0.0) live_.erase(it);
-    now_ = item.at;
+    --pending_;
+    now_ = key.at;
     ++executed_;
-    item.fn(*this);
-    // Periodic: re-arm under the same id unless the callback cancelled it
-    // (the cancel dropped it from live_ and pre-counted a dead queue entry
-    // that will never exist — rebalance by not re-pushing).
-    if (period != 0.0) {
-      if (live_.count(item.id) != 0) {
-        queue_.push(Item{now_ + period, seq_++, item.id, std::move(item.fn)});
-      } else {
-        --dead_in_queue_;
-      }
+    // The callback runs from a local: it may schedule events, which can
+    // grow the slot table and move every Slot.
+    EventFn fn = std::move(s.fn);
+    if (s.period == 0.0) {
+      kill(key.slot);
+      release(key.slot);
+      fn(*this);
+      continue;
+    }
+    s.state = SlotState::kFiring;
+    fn(*this);
+    Slot& t = slots_[key.slot];
+    if (t.state == SlotState::kFiring) {
+      // Re-arm under the same id.
+      t.fn = std::move(fn);
+      t.state = SlotState::kQueued;
+      heap_.push(Key{now_ + t.period, seq_++, key.slot});
+      ++pending_;
+    } else {
+      release(key.slot);  // cancelled from inside its own callback
     }
   }
   if (now_ < until && until < std::numeric_limits<double>::infinity())

@@ -5,12 +5,19 @@
 // reconfiguration state machine to model the 60-80 us switching latency,
 // and by the src/ctrl control-plane daemon as its event loop (job
 // arrivals/departures, fault transitions, reconfig batch drains).
+//
+// Storage is two flat parts. The binary heap holds plain (time, sequence,
+// slot) keys, so sifting moves 24-byte values and never a callback. The
+// slot table holds each scheduled event's callback, its period and a
+// generation; an EventId names (generation, slot). cancel() bumps the
+// generation, which kills the id in O(1); the dead slot is freed, and may
+// be reused under the new generation, when its heap key surfaces. A slot
+// whose generation would wrap is retired instead, so ids are never reused.
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <queue>
-#include <unordered_map>
 #include <vector>
 
 namespace ihbd::evsim {
@@ -18,7 +25,7 @@ namespace ihbd::evsim {
 using SimTime = double;  ///< simulated seconds
 
 /// Handle to a scheduled event or periodic timer, usable with cancel().
-/// Ids are never reused within one Engine.
+/// Ids are never reused within one Engine, and 0 is never an id.
 using EventId = std::uint64_t;
 
 /// Event callback; runs at its scheduled time with the engine available for
@@ -51,7 +58,7 @@ class Engine {
   /// Cancel a pending event or an active periodic timer. Returns true if
   /// the id was live (the event will not fire again); false if it already
   /// fired, was already cancelled, or never existed. Safe to call from
-  /// inside event callbacks.
+  /// inside event callbacks, including the event's own.
   bool cancel(EventId id);
 
   /// Run until the event queue drains (or, for run_until, events at times
@@ -73,39 +80,55 @@ class Engine {
   /// Number of events executed so far. Cancelled events never count;
   /// each firing of a periodic timer counts once.
   std::uint64_t executed() const { return executed_; }
-  /// Number of events still pending: cancelled-but-not-yet-popped queue
-  /// entries are excluded, and an active periodic timer counts exactly
-  /// once (its next occurrence).
-  std::size_t pending() const { return queue_.size() - dead_in_queue_; }
+  /// Number of events still pending: cancelled events are excluded at
+  /// once, an active periodic timer counts exactly once (its next
+  /// occurrence), and the event whose callback is running does not count.
+  std::size_t pending() const { return pending_; }
   /// Number of events cancelled so far (periodic timers count once).
   std::uint64_t cancelled() const { return cancelled_; }
 
  private:
-  struct Item {
+  /// Heap key: earliest time first, then scheduling order (`seq` is fresh
+  /// per push, so a re-armed periodic timer queues behind earlier ones).
+  struct Key {
     SimTime at;
-    std::uint64_t seq;  // FIFO tie-break (fresh per firing)
-    EventId id;
-    EventFn fn;
+    std::uint64_t seq;
+    std::uint32_t slot;
   };
   struct Later {
-    bool operator()(const Item& a, const Item& b) const {
+    bool operator()(const Key& a, const Key& b) const {
       if (a.at != b.at) return a.at > b.at;
       return a.seq > b.seq;
     }
   };
 
-  /// Live-event table: id -> period (0 = one-shot). An id absent from the
-  /// table but still in the queue was cancelled; the queue entry is dropped
-  /// un-executed when it surfaces.
-  std::unordered_map<EventId, SimTime> live_;
+  enum class SlotState : std::uint8_t {
+    kFree,       ///< on the free list, no heap key
+    kQueued,     ///< live, exactly one heap key
+    kFiring,     ///< periodic timer inside its callback, no heap key
+    kCancelled,  ///< dead, its heap key has not surfaced yet
+  };
+  struct Slot {
+    EventFn fn;
+    SimTime period = 0.0;     ///< 0: one-shot
+    std::uint32_t gen = 0;    ///< generation of the id this slot answers to
+    SlotState state = SlotState::kFree;
+  };
 
-  std::priority_queue<Item, std::vector<Item>, Later> queue_;
+  EventId arm(SimTime at, SimTime period, EventFn fn);
+  /// Kill the slot's current id: no later id of this slot equals it.
+  void kill(std::uint32_t slot);
+  /// Return a dead slot to the free list (or retire it for good).
+  void release(std::uint32_t slot);
+
+  std::priority_queue<Key, std::vector<Key>, Later> heap_;
+  std::vector<Slot> slots_;
+  std::vector<std::uint32_t> free_;  ///< reusable slots, most recent last
   SimTime now_ = 0.0;
   std::uint64_t seq_ = 0;
-  EventId next_id_ = 1;
   std::uint64_t executed_ = 0;
   std::uint64_t cancelled_ = 0;
-  std::size_t dead_in_queue_ = 0;
+  std::size_t pending_ = 0;
 };
 
 }  // namespace ihbd::evsim

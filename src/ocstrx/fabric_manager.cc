@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "src/common/contracts.h"
 #include "src/common/error.h"
 
 namespace ihbd::ocstrx {
@@ -10,61 +9,110 @@ namespace ihbd::ocstrx {
 NodeFabricManager::NodeFabricManager(int gpus, int bundles,
                                      int trx_per_bundle,
                                      const TrxConfig& trx_config)
-    : gpus_(gpus) {
+    : trx_per_bundle_(trx_per_bundle), gpus_(gpus) {
   if (gpus < 2) throw ConfigError("node needs at least 2 GPUs");
   if (bundles < 1 || bundles > gpus)
     throw ConfigError("bundle count must be in [1, gpus]");
   if (trx_per_bundle < 1) throw ConfigError("trx_per_bundle must be >= 1");
+  // Bundle b serves GPUs (b, (b+1) mod gpus): distinct since gpus >= 2.
+  trxs_.reserve(static_cast<std::size_t>(bundles) *
+                static_cast<std::size_t>(trx_per_bundle));
+  for (int b = 0; b < bundles; ++b) {
+    for (int i = 0; i < trx_per_bundle; ++i)
+      trxs_.emplace_back(static_cast<std::uint32_t>(b * 64 + i), trx_config);
+  }
   bundles_.reserve(static_cast<std::size_t>(bundles));
   for (int b = 0; b < bundles; ++b) {
-    bundles_.emplace_back(static_cast<std::uint32_t>(b), b, (b + 1) % gpus,
-                          trx_per_bundle, trx_config);
+    bundles_.push_back(Bundle(static_cast<std::uint32_t>(b),
+                              trxs_.data() + b * trx_per_bundle,
+                              trx_per_bundle));
   }
+}
+
+NodeFabricManager::NodeFabricManager(const NodeFabricManager& other)
+    : preloaded_(other.preloaded_),
+      steps_(other.steps_),
+      trxs_(other.trxs_),
+      trx_per_bundle_(other.trx_per_bundle_),
+      gpus_(other.gpus_) {
+  // Re-point the bundle views at this node's members.
+  bundles_.reserve(other.bundles_.size());
+  for (const Bundle& b : other.bundles_) {
+    Bundle& view = bundles_.emplace_back(
+        Bundle(b.id_, trxs_.data() + (b.trxs_ - other.trxs_.data()), b.count_));
+    view.failed_members_ = b.failed_members_;
+  }
+}
+
+NodeFabricManager& NodeFabricManager::operator=(
+    const NodeFabricManager& other) {
+  if (this != &other) *this = NodeFabricManager(other);
+  return *this;
 }
 
 void NodeFabricManager::preload_session(const std::string& name,
                                         const Session& session) {
-  Steps steps(session.begin(), session.end());
-  for (Preloaded& p : preloaded_) {
-    if (p.name == name) {
-      p.steps = std::move(steps);
-      return;
+  const int index = find_session(name);
+  if (index >= 0) {
+    // Overwrite: drop the old steps and close the gap.
+    const Preloaded old = preloaded_[static_cast<std::size_t>(index)];
+    steps_.erase(steps_.begin() + old.first,
+                 steps_.begin() + old.first + old.count);
+    for (Preloaded& p : preloaded_) {
+      if (p.first >= old.first + old.count) p.first -= old.count;
     }
   }
-  preloaded_.push_back(Preloaded{name, std::move(steps)});
-}
-
-const NodeFabricManager::Preloaded* NodeFabricManager::find_session(
-    const std::string& name) const {
-  for (const Preloaded& p : preloaded_) {
-    if (p.name == name) return &p;
+  const auto first = static_cast<std::uint32_t>(steps_.size());
+  for (const auto& [bundle, path] : session) steps_.push_back(Step{bundle, path});
+  const auto count = static_cast<std::uint32_t>(session.size());
+  if (index >= 0) {
+    preloaded_[static_cast<std::size_t>(index)].first = first;
+    preloaded_[static_cast<std::size_t>(index)].count = count;
+  } else {
+    preloaded_.push_back(Preloaded{name, first, count});
   }
-  return nullptr;
 }
 
-bool NodeFabricManager::has_session(const std::string& name) const {
-  return find_session(name) != nullptr;
+int NodeFabricManager::find_session(const std::string& name) const {
+  for (std::size_t i = 0; i < preloaded_.size(); ++i) {
+    if (preloaded_[i].name == name) return static_cast<int>(i);
+  }
+  return -1;
 }
 
 std::optional<double> NodeFabricManager::apply_session(const std::string& name,
                                                        Rng& rng) {
-  const Preloaded* p = find_session(name);
-  if (p == nullptr) return std::nullopt;
-  return apply(p->steps, rng, /*preloaded=*/true);
+  const int index = find_session(name);
+  if (index < 0) return std::nullopt;
+  return apply_preloaded(index, rng);
+}
+
+std::optional<double> NodeFabricManager::apply_preloaded(int session,
+                                                         Rng& rng) {
+  const Preloaded& p = preloaded_.at(static_cast<std::size_t>(session));
+  return apply(steps_.data() + p.first, p.count, rng, /*preloaded=*/true);
 }
 
 std::optional<double> NodeFabricManager::apply_adhoc(const Session& session,
                                                      Rng& rng) {
-  return apply(Steps(session.begin(), session.end()), rng,
-               /*preloaded=*/false);
+  std::vector<Step> steps;
+  steps.reserve(session.size());
+  for (const auto& [bundle, path] : session) steps.push_back(Step{bundle, path});
+  return apply(steps.data(), steps.size(), rng, /*preloaded=*/false);
 }
 
-std::optional<double> NodeFabricManager::apply(const Steps& steps, Rng& rng,
+std::optional<double> NodeFabricManager::apply(const Step* steps,
+                                               std::size_t count, Rng& rng,
                                                bool preloaded) {
+  // Bundle::steer on the node's own member array: the bundles themselves
+  // are not read.
+  const std::size_t bundles = bundles_.size();
   double worst = 0.0;
-  for (const auto& [bundle_id, path] : steps) {
-    if (bundle_id >= bundles_.size()) return std::nullopt;
-    auto latency = bundles_[bundle_id].steer(path, rng, preloaded);
+  for (std::size_t i = 0; i < count; ++i) {
+    if (steps[i].bundle >= bundles) return std::nullopt;
+    const auto latency = Bundle::steer_members(
+        trxs_.data() + std::size_t{steps[i].bundle} * trx_per_bundle_,
+        trx_per_bundle_, steps[i].path, rng, preloaded);
     if (!latency) return std::nullopt;
     worst = std::max(worst, *latency);
   }

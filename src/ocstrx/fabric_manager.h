@@ -4,13 +4,20 @@
 // The fast-switch mechanism (Appendix G.1) preloads "Top-Session"
 // configurations into the OCSTrx controller so that a later switch pays
 // only the 60-80 us hardware latency, not the control-plane latency.
+//
+// Storage is contiguous per node: every bundle's transceivers live in one
+// array (bundle b's members follow bundle b-1's), and every preloaded
+// session's (bundle, path) steps live in another, so applying a session
+// walks two short arrays instead of per-bundle and per-session heap
+// objects. Applying draws one rng.uniform per transceiver that actually
+// switches, in bundle-id then member order; a session that reaches a
+// failed bundle returns nullopt, and the bundles before it stay switched.
 #pragma once
 
 #include <cstdint>
 #include <map>
 #include <optional>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "src/common/rng.h"
@@ -30,6 +37,10 @@ class NodeFabricManager {
   /// GPU pair (b, (b+1) mod gpus) with upper/lower half lanes.
   NodeFabricManager(int gpus, int bundles, int trx_per_bundle,
                     const TrxConfig& trx_config = {});
+  NodeFabricManager(const NodeFabricManager& other);
+  NodeFabricManager& operator=(const NodeFabricManager& other);
+  NodeFabricManager(NodeFabricManager&&) noexcept = default;
+  NodeFabricManager& operator=(NodeFabricManager&&) noexcept = default;
 
   int gpu_count() const { return gpus_; }
   int bundle_count() const { return static_cast<int>(bundles_.size()); }
@@ -40,12 +51,21 @@ class NodeFabricManager {
   /// Overwrites any session with the same name. A controller holds a few
   /// short-named sessions, so lookups scan them linearly.
   void preload_session(const std::string& name, const Session& session);
-  bool has_session(const std::string& name) const;
+  bool has_session(const std::string& name) const {
+    return find_session(name) >= 0;
+  }
+
+  /// Index of the preloaded session `name`, or -1 if none. Indices are
+  /// stable: preloading appends new names and overwrites in place.
+  int find_session(const std::string& name) const;
 
   /// Apply a named preloaded session. Returns the node-level switch latency
   /// (max across touched bundles; hardware-only, since it was preloaded),
   /// or nullopt if the session is unknown or a touched bundle has failed.
   std::optional<double> apply_session(const std::string& name, Rng& rng);
+
+  /// apply_session() for the session find_session() returned (>= 0).
+  std::optional<double> apply_preloaded(int session, Rng& rng);
 
   /// Apply an ad-hoc session (not preloaded: pays control-plane latency).
   std::optional<double> apply_adhoc(const Session& session, Rng& rng);
@@ -62,19 +82,28 @@ class NodeFabricManager {
   bool healthy() const;
 
  private:
-  /// A session flattened to its (bundle, path) steps in bundle-id order.
-  using Steps = std::vector<std::pair<std::uint32_t, OcsPath>>;
+  struct Step {
+    std::uint32_t bundle;
+    OcsPath path;
+  };
+  /// A preloaded session: its steps are steps_[first, first + count), in
+  /// bundle-id order.
   struct Preloaded {
     std::string name;
-    Steps steps;
+    std::uint32_t first;
+    std::uint32_t count;
   };
 
-  const Preloaded* find_session(const std::string& name) const;
-  std::optional<double> apply(const Steps& steps, Rng& rng, bool preloaded);
+  std::optional<double> apply(const Step* steps, std::size_t count, Rng& rng,
+                              bool preloaded);
 
-  int gpus_;
-  std::vector<Bundle> bundles_;
+  // Read by every apply: kept together at the front.
   std::vector<Preloaded> preloaded_;
+  std::vector<Step> steps_;        ///< every preloaded session's steps
+  std::vector<Transceiver> trxs_;  ///< every bundle's members, bundle-major
+  int trx_per_bundle_;
+  int gpus_;
+  std::vector<Bundle> bundles_;    ///< views into trxs_
 };
 
 }  // namespace ihbd::ocstrx

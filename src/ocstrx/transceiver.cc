@@ -4,63 +4,41 @@
 
 namespace ihbd::ocstrx {
 
+// A node packs its modules contiguously (NodeFabricManager): keep them lean.
+static_assert(sizeof(Transceiver) <= 32);
+
 Transceiver::Transceiver(std::uint32_t id, const TrxConfig& config)
-    : id_(id), config_(config), matrix_(config.matrix) {
+    : line_rate_gbps_(config.line_rate_gbps),
+      control_plane_latency_s_(config.control_plane_latency_s),
+      id_(id) {
   IHBD_EXPECTS(config.line_rate_gbps > 0.0);
   IHBD_EXPECTS(config.serdes_pairs > 0);
 }
 
-double Transceiver::bandwidth_gbps(OcsPath path) const {
-  if (state_ == TrxState::kActive && active_ && *active_ == path)
-    return config_.line_rate_gbps;
-  return 0.0;
-}
-
-double Transceiver::switch_latency_s(Rng& rng, bool preloaded) const {
-  double latency = matrix_.sample_reconfig_latency_s(rng);
-  if (!preloaded) latency += config_.control_plane_latency_s;
-  return latency;
-}
-
-bool Transceiver::reconfigure(evsim::Engine& engine, OcsPath path, Rng& rng,
+bool Transceiver::reconfigure(evsim::Engine& engine, OcsPath p, Rng& rng,
                               bool preloaded, std::function<void()> done) {
   if (state_ == TrxState::kFailed || state_ == TrxState::kReconfiguring)
     return false;
-  if (state_ == TrxState::kActive && active_ && *active_ == path) {
+  if (state_ == TrxState::kActive && path() == p) {
     if (done) engine.schedule_in(0.0, [d = std::move(done)](evsim::Engine&) {
       d();
     });
     return true;
   }
   state_ = TrxState::kReconfiguring;
-  active_.reset();
   const double latency = switch_latency_s(rng, preloaded);
   const std::uint64_t epoch = epoch_;
-  engine.schedule_in(latency, [this, path, epoch,
+  engine.schedule_in(latency, [this, p, epoch,
                                d = std::move(done)](evsim::Engine&) {
     if (epoch != epoch_) return;  // failed mid-flight; drop the completion
-    state_ = TrxState::kActive;
-    active_ = path;
-    ++reconfig_count_;
+    activate(p);
     if (d) d();
   });
   return true;
 }
 
-std::optional<double> Transceiver::reconfigure_now(OcsPath path, Rng& rng,
-                                                   bool preloaded) {
-  if (state_ == TrxState::kFailed) return std::nullopt;
-  if (state_ == TrxState::kActive && active_ && *active_ == path) return 0.0;
-  const double latency = switch_latency_s(rng, preloaded);
-  state_ = TrxState::kActive;
-  active_ = path;
-  ++reconfig_count_;
-  return latency;
-}
-
 void Transceiver::fail() {
   state_ = TrxState::kFailed;
-  active_.reset();
   ++epoch_;
 }
 

@@ -12,7 +12,6 @@
 #include <cstdint>
 #include <functional>
 #include <optional>
-#include <string>
 
 #include "src/common/rng.h"
 #include "src/evsim/engine.h"
@@ -23,7 +22,7 @@ namespace ihbd::ocstrx {
 using phy::OcsPath;
 
 /// Lifecycle state of one OCSTrx module.
-enum class TrxState {
+enum class TrxState : std::uint8_t {
   kIdle,           ///< powered, no path activated (dark)
   kActive,         ///< one path carrying traffic
   kReconfiguring,  ///< switch matrix mid-flight; no path carries traffic
@@ -31,11 +30,11 @@ enum class TrxState {
                    ///< failure - no new failure patterns, per the paper)
 };
 
-/// Static description of one OCSTrx module.
+/// Static description of one OCSTrx module. The switch latency itself is
+/// the OCS matrix's 60-80 us (phy::OcsSwitchMatrix::sample_reconfig_latency_s).
 struct TrxConfig {
   double line_rate_gbps = 800.0;   ///< QSFP-DD 800G
   int serdes_pairs = 8;            ///< 8x112G electrical lanes
-  phy::SwitchMatrixParams matrix;  ///< OCS physics
   /// Control-plane latency added when the target configuration was NOT
   /// preloaded (software/session setup; the paper's fast-switch mechanism
   /// removes this). ASSUMPTION: 500 us, consistent with "software-level
@@ -45,22 +44,28 @@ struct TrxConfig {
 };
 
 /// One OCS transceiver. Reconfiguration is modelled on the discrete-event
-/// engine; a synchronous helper is provided for analytic callers.
+/// engine; a synchronous helper is provided for analytic callers. It keeps
+/// only the two config values it reads, so a node's modules pack densely.
 class Transceiver {
  public:
   Transceiver(std::uint32_t id, const TrxConfig& config = {});
 
   std::uint32_t id() const { return id_; }
   TrxState state() const { return state_; }
-  const TrxConfig& config() const { return config_; }
+  double line_rate_gbps() const { return line_rate_gbps_; }
 
   /// Currently active path (empty unless state()==kActive).
-  std::optional<OcsPath> active_path() const { return active_; }
+  std::optional<OcsPath> active_path() const {
+    if (state_ != TrxState::kActive) return std::nullopt;
+    return path();
+  }
 
   /// Bandwidth currently deliverable on `path` in Gbit/s: the full line rate
   /// if that path is active, 0 otherwise (time-division allocation - no
   /// splitting across paths, per §4.1 Design 1).
-  double bandwidth_gbps(OcsPath path) const;
+  double bandwidth_gbps(OcsPath p) const {
+    return state_ == TrxState::kActive && path() == p ? line_rate_gbps_ : 0.0;
+  }
 
   /// True if the module can carry traffic (not failed).
   bool healthy() const { return state_ != TrxState::kFailed; }
@@ -76,30 +81,39 @@ class Transceiver {
 
   /// --- Synchronous helper ------------------------------------------------
   /// Switch immediately and return the latency the switch would have taken
-  /// (seconds). Returns std::nullopt if failed.
-  std::optional<double> reconfigure_now(OcsPath path, Rng& rng,
-                                        bool preloaded = true);
+  /// (seconds). Returns std::nullopt if failed. One rng draw iff the module
+  /// actually switches.
+  std::optional<double> reconfigure_now(OcsPath p, Rng& rng,
+                                        bool preloaded = true) {
+    if (state_ == TrxState::kFailed) return std::nullopt;
+    if (state_ == TrxState::kActive && path() == p) return 0.0;
+    const double latency = switch_latency_s(rng, preloaded);
+    activate(p);
+    return latency;
+  }
 
   /// Inject / clear a module failure.
   void fail();
   void repair();
 
-  /// Count of completed reconfigurations (telemetry).
-  std::uint64_t reconfig_count() const { return reconfig_count_; }
-
-  /// Physics access (loss / power / BER live in phy).
-  const phy::OcsSwitchMatrix& matrix() const { return matrix_; }
-
  private:
-  double switch_latency_s(Rng& rng, bool preloaded) const;
+  OcsPath path() const { return static_cast<OcsPath>(path_); }
+  void activate(OcsPath p) {
+    state_ = TrxState::kActive;
+    path_ = static_cast<std::uint8_t>(p);
+  }
+  double switch_latency_s(Rng& rng, bool preloaded) const {
+    double latency = phy::OcsSwitchMatrix::sample_reconfig_latency_s(rng);
+    if (!preloaded) latency += control_plane_latency_s_;
+    return latency;
+  }
 
-  std::uint32_t id_;
-  TrxConfig config_;
-  phy::OcsSwitchMatrix matrix_;
-  TrxState state_ = TrxState::kIdle;
-  std::optional<OcsPath> active_;
-  std::uint64_t reconfig_count_ = 0;
+  double line_rate_gbps_;
+  double control_plane_latency_s_;
   std::uint64_t epoch_ = 0;  ///< invalidates in-flight completions on fail()
+  std::uint32_t id_;
+  TrxState state_ = TrxState::kIdle;
+  std::uint8_t path_ = 0;  ///< the active OcsPath; meaningful when kActive
 };
 
 }  // namespace ihbd::ocstrx

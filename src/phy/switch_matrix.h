@@ -60,8 +60,11 @@ class OcsSwitchMatrix {
   double drive_power_w(OcsPath path, double temp_c) const;
 
   /// Sampled hardware reconfiguration latency (uniform in [60, 80] us,
-  /// per paper §5.1), in seconds.
-  double sample_reconfig_latency_s(Rng& rng) const;
+  /// per paper §5.1), in seconds. One rng.uniform draw; it depends on no
+  /// matrix parameter.
+  static double sample_reconfig_latency_s(Rng& rng) {
+    return rng.uniform(kReconfigMinS, kReconfigMaxS);
+  }
   static constexpr double kReconfigMinS = 60e-6;
   static constexpr double kReconfigMaxS = 80e-6;
 

@@ -30,6 +30,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <optional>
 #include <string>
@@ -39,6 +40,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include "src/common/cli.h"
 #include "src/common/serde.h"
 #include "src/runtime/thread_pool.h"
 #include "src/sweepd/protocol.h"
@@ -85,17 +87,30 @@ struct DriverOptions {
   std::exit(2);
 }
 
-/// --workers N: an integer in [1, kMaxWorkers], checked before anything is
-/// forked.
-int parse_workers(const std::string& text) {
-  char* end = nullptr;
-  errno = 0;
-  const long long v = std::strtoll(text.c_str(), &end, 10);
-  if (end == text.c_str() || *end != '\0' || errno == ERANGE || v < 1 ||
-      v > ihbd::runtime::kMaxWorkers)
-    die("--workers expects an integer in [1, " +
-        std::to_string(ihbd::runtime::kMaxWorkers) + "], got '" + text + "'");
-  return static_cast<int>(v);
+/// A count flag: an integer in [1, max], checked before anything is
+/// created or forked.
+int parse_count(const std::string& flag, const std::string& text,
+                int max = std::numeric_limits<int>::max()) {
+  const std::optional<int> v = ihbd::cli::parse_count(text.c_str(), max);
+  if (!v)
+    die(flag + " expects an integer in [1, " + std::to_string(max) +
+        "], got '" + text + "'");
+  return *v;
+}
+
+/// A forwarded value must be one the bench accepts (bench_util's rules):
+/// reject it here, before <dir>/logs exists or a worker is forked, instead
+/// of in every forked bench. The text is forwarded verbatim.
+std::string checked_count(const std::string& flag, std::string text) {
+  parse_count(flag, text);
+  return text;
+}
+
+std::string checked_seconds(const std::string& flag, std::string text,
+                            bool allow_zero) {
+  if (!ihbd::cli::parse_seconds(text.c_str(), allow_zero))
+    die(flag + " expects a duration in seconds, got '" + text + "'");
+  return text;
 }
 
 DriverOptions parse_options(int argc, char** argv, int first) {
@@ -112,17 +127,17 @@ DriverOptions parse_options(int argc, char** argv, int first) {
     } else if (arg == "--owner") {
       opt.owner = next();
     } else if (arg == "--shard-count") {
-      opt.shard_count = next();
+      opt.shard_count = checked_count(arg, next());
     } else if (arg == "--lease-s") {
-      opt.lease_s = next();
+      opt.lease_s = checked_seconds(arg, next(), /*allow_zero=*/false);
     } else if (arg == "--poll-s") {
-      opt.poll_s = next();
+      opt.poll_s = checked_seconds(arg, next(), /*allow_zero=*/false);
     } else if (arg == "--timeout-s") {
-      opt.timeout_s = next();
+      opt.timeout_s = checked_seconds(arg, next(), /*allow_zero=*/true);
     } else if (arg == "--checkpoint-every") {
-      opt.checkpoint_every = next();
+      opt.checkpoint_every = checked_count(arg, next());
     } else if (arg == "--workers") {
-      opt.workers = parse_workers(next());
+      opt.workers = parse_count(arg, next(), ihbd::runtime::kMaxWorkers);
     } else if (arg == "-o" || arg == "--out") {
       opt.out_file = next();
     } else if (arg == "--") {

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <climits>
+#include <stdexcept>
 #include <vector>
 
 #include "src/common/error.h"
@@ -293,7 +295,7 @@ TEST(ReconfigQueue, CoalescesPerNodeKeepingOldestWait) {
   const auto out = q.drain_batch(fleet, 5.0, rng);
   ASSERT_EQ(out.size(), 2u);
   EXPECT_EQ(out[0].request.node, 2);
-  EXPECT_EQ(out[0].request.session, "park");
+  EXPECT_EQ(q.session_name(out[0].request.session), "park");
   EXPECT_DOUBLE_EQ(out[0].request.enqueued_at, 1.0);
   // Once drained, the node can be queued afresh.
   EXPECT_TRUE(q.enqueue(2, "ring", 6.0));
@@ -400,7 +402,7 @@ TEST(ReconfigQueue, DeadLettersAfterMaxAttempts) {
   EXPECT_EQ(q.failed(), 3u);
   ASSERT_EQ(q.dead_letters().size(), 1u);
   EXPECT_EQ(q.dead_letters()[0].node, 1);
-  EXPECT_EQ(q.dead_letters()[0].session, "ring");
+  EXPECT_EQ(q.session_name(q.dead_letters()[0].session), "ring");
   EXPECT_EQ(q.dead_letters()[0].attempts, 3);
   // The dead letter freed the coalescing key: the node can re-enqueue.
   EXPECT_TRUE(q.enqueue(1, "park", now));
@@ -475,7 +477,7 @@ TEST(ReconfigQueue, CoalescingOntoBackoffKeepsSlotButResetsBudget) {
   out = q.drain_batch(fleet, deadline, rng);
   ASSERT_EQ(out.size(), 1u);
   EXPECT_TRUE(out[0].ok());
-  EXPECT_EQ(out[0].request.session, "park");
+  EXPECT_EQ(q.session_name(out[0].request.session), "park");
   EXPECT_DOUBLE_EQ(out[0].request.enqueued_at, 0.0);
   EXPECT_EQ(out[0].request.attempts, 1);  // budget was reset on coalesce
 }
@@ -551,9 +553,227 @@ TEST(ReconfigQueue, OutOfRangeNodesFailPermanently) {
   const auto again = q.drain_batch(fleet, 3.0, rng);
   ASSERT_EQ(again.size(), 2u);
   EXPECT_TRUE(again[0].ok());
-  EXPECT_EQ(again[0].request.session, "ring");
+  EXPECT_EQ(q.session_name(again[0].request.session), "ring");
   EXPECT_TRUE(again[1].permanent);
   EXPECT_EQ(q.drained(), nodes.size() + 2);
+}
+
+// --- RNG draw order -----------------------------------------------------------
+
+/// The next `n` hardware-latency draws of `rng`, as a switching transceiver
+/// makes them.
+std::vector<double> next_draws(Rng& rng, int n) {
+  std::vector<double> out;
+  for (int i = 0; i < n; ++i)
+    out.push_back(rng.uniform(phy::OcsSwitchMatrix::kReconfigMinS,
+                              phy::OcsSwitchMatrix::kReconfigMaxS));
+  return out;
+}
+
+TEST(DrawOrder, OneDrawPerSwitchingTransceiverInBundleOrder) {
+  NodeFabricManager fm(4, 4, 2);
+  Session pre;
+  pre[1] = OcsPath::kExternal2;
+  fm.preload_session("pre", pre);
+  Session ring;
+  ring[0] = OcsPath::kExternal1;
+  ring[1] = OcsPath::kExternal2;  // already there: no draw
+  ring[3] = OcsPath::kLoopback;
+  fm.preload_session("ring", ring);
+
+  Rng rng(77);
+  Rng ref(77);
+  const auto pre_latency = fm.apply_session("pre", rng);
+  const std::vector<double> pre_draws = next_draws(ref, 2);
+  ASSERT_TRUE(pre_latency.has_value());
+  EXPECT_EQ(*pre_latency, std::max(pre_draws[0], pre_draws[1]));
+
+  // Bundles 0 and 3 switch (2 members each): exactly 4 draws; bundle 1
+  // and the untouched bundle 2 draw nothing.
+  const auto latency = fm.apply_session("ring", rng);
+  const std::vector<double> draws = next_draws(ref, 4);
+  ASSERT_TRUE(latency.has_value());
+  EXPECT_EQ(*latency, *std::max_element(draws.begin(), draws.end()));
+  EXPECT_EQ(rng.state(), ref.state());
+
+  // Re-applying a session already in place draws nothing and costs 0.
+  const auto again = fm.apply_session("ring", rng);
+  ASSERT_TRUE(again.has_value());
+  EXPECT_EQ(*again, 0.0);
+  EXPECT_EQ(rng.state(), ref.state());
+
+  // Pinned values: a change to the number or order of draws moves them.
+  Rng pinned(2025);
+  NodeFabricManager fresh(4, 4, 1);
+  fresh.preload_session("ring", ring);
+  const auto pinned_latency = fresh.apply_session("ring", pinned);
+  Rng pinned_ref(2025);
+  const std::vector<double> pinned_draws = next_draws(pinned_ref, 3);
+  ASSERT_TRUE(pinned_latency.has_value());
+  EXPECT_EQ(*pinned_latency,
+            *std::max_element(pinned_draws.begin(), pinned_draws.end()));
+  EXPECT_EQ(pinned.next(), pinned_ref.next());
+}
+
+TEST(DrawOrder, PartialApplyKeepsEarlierBundlesAndTheirDraws) {
+  NodeFabricManager fm(4, 4, 2);
+  Session ring;
+  ring[0] = OcsPath::kExternal1;
+  ring[1] = OcsPath::kExternal2;
+  ring[2] = OcsPath::kLoopback;  // failed below
+  ring[3] = OcsPath::kLoopback;
+  fm.preload_session("ring", ring);
+  fm.bundle(2).fail_one(1);
+
+  Rng rng(9);
+  Rng ref(9);
+  EXPECT_FALSE(fm.apply_session("ring", rng).has_value());
+  // Bundles 0 and 1 switched before the failed bundle 2 was reached: their
+  // four draws stay consumed; bundle 2 (a member down) and bundle 3 draw
+  // nothing and stay dark.
+  next_draws(ref, 4);
+  EXPECT_EQ(rng.state(), ref.state());
+  EXPECT_DOUBLE_EQ(fm.bundle(0).bandwidth_gbps(OcsPath::kExternal1), 1600.0);
+  EXPECT_DOUBLE_EQ(fm.bundle(1).bandwidth_gbps(OcsPath::kExternal2), 1600.0);
+  EXPECT_DOUBLE_EQ(fm.bundle(2).bandwidth_gbps(OcsPath::kLoopback), 0.0);
+  EXPECT_DOUBLE_EQ(fm.bundle(3).bandwidth_gbps(OcsPath::kLoopback), 0.0);
+  EXPECT_EQ(fm.bundle(2).trx(0).state(), TrxState::kIdle);
+
+  // After repair the same session completes; bundles 0 and 1 are already
+  // in place, so only bundles 2 and 3 draw.
+  fm.bundle(2).repair();
+  const auto latency = fm.apply_session("ring", rng);
+  const std::vector<double> draws = next_draws(ref, 4);
+  ASSERT_TRUE(latency.has_value());
+  EXPECT_EQ(*latency, *std::max_element(draws.begin(), draws.end()));
+  EXPECT_EQ(rng.state(), ref.state());
+}
+
+TEST(FabricManager, OverwritingASessionKeepsTheOthers) {
+  NodeFabricManager fm(4, 4, 1);
+  Session a;
+  a[0] = OcsPath::kExternal1;
+  a[1] = OcsPath::kExternal1;
+  Session b;
+  b[2] = OcsPath::kExternal2;
+  fm.preload_session("a", a);
+  fm.preload_session("b", b);
+  Session a2;
+  a2[3] = OcsPath::kExternal2;
+  fm.preload_session("a", a2);  // shorter: b's steps move down
+  EXPECT_EQ(fm.find_session("a"), 0);
+  EXPECT_EQ(fm.find_session("b"), 1);
+  EXPECT_EQ(fm.find_session("c"), -1);
+  Rng rng(1);
+  ASSERT_TRUE(fm.apply_session("b", rng).has_value());
+  EXPECT_DOUBLE_EQ(fm.bundle(2).bandwidth_gbps(OcsPath::kExternal2), 800.0);
+  ASSERT_TRUE(fm.apply_session("a", rng).has_value());
+  EXPECT_DOUBLE_EQ(fm.bundle(3).bandwidth_gbps(OcsPath::kExternal2), 800.0);
+  EXPECT_DOUBLE_EQ(fm.bundle(0).bandwidth_gbps(OcsPath::kExternal1), 0.0);
+}
+
+TEST(FabricManager, CopiesOwnTheirTransceivers) {
+  NodeFabricManager a(4, 2, 2);
+  Session ring;
+  ring[0] = OcsPath::kExternal1;
+  a.preload_session("ring", ring);
+  a.bundle(1).fail();
+  NodeFabricManager b = a;
+  Bundle standalone = a.bundle(0);  // a node's bundle, copied out
+  a.bundle(1).repair();
+  Rng rng(1);
+  ASSERT_TRUE(a.apply_session("ring", rng).has_value());
+  EXPECT_TRUE(a.healthy());
+  EXPECT_FALSE(b.healthy());  // its own copy of the failed bundle
+  EXPECT_DOUBLE_EQ(b.bundle(0).bandwidth_gbps(OcsPath::kExternal1), 0.0);
+  EXPECT_DOUBLE_EQ(standalone.bandwidth_gbps(OcsPath::kExternal1), 0.0);
+  ASSERT_TRUE(b.apply_session("ring", rng).has_value());
+  EXPECT_DOUBLE_EQ(b.bundle(0).bandwidth_gbps(OcsPath::kExternal1), 1600.0);
+  b = a;  // assignment re-points too
+  a.bundle(0).fail();
+  EXPECT_TRUE(b.healthy());
+}
+
+// --- interned session names ----------------------------------------------------
+
+TEST(ReconfigQueue, SessionNamesReadBackAfterCoalescingRetargets) {
+  auto fleet = test_fleet(3);
+  fleet[1].bundle(0).fail();
+  RetryPolicy p;
+  p.max_attempts = 2;
+  p.base_backoff = 1.0;
+  p.max_backoff = 1.0;
+  ReconfigQueue q(/*max_batch=*/8, p);
+  Rng rng(1);
+  EXPECT_TRUE(q.enqueue(0, "ring", 0.0));
+  EXPECT_TRUE(q.enqueue(1, "ring", 0.0));
+  EXPECT_TRUE(q.enqueue(2, "ring", 0.0));
+  // Retarget two queued requests; "park" is first seen while coalescing
+  // and "nope" names no preloaded session.
+  EXPECT_FALSE(q.enqueue(1, "park", 0.5));
+  EXPECT_FALSE(q.enqueue(2, "nope", 0.5));
+  EXPECT_EQ(q.session_name(0), "ring");
+  EXPECT_EQ(q.session_name(1), "park");
+  EXPECT_EQ(q.session_name(2), "nope");
+
+  auto out = q.drain_batch(fleet, 1.0, rng);
+  ASSERT_EQ(out.size(), 3u);
+  EXPECT_EQ(q.session_name(out[0].request.session), "ring");
+  EXPECT_TRUE(out[0].ok());
+  EXPECT_EQ(q.session_name(out[1].request.session), "park");
+  EXPECT_TRUE(out[1].will_retry);
+  EXPECT_EQ(q.session_name(out[2].request.session), "nope");
+  EXPECT_TRUE(out[2].permanent);
+
+  // Retarget node 1 again while it backs off; its dead letter carries the
+  // latest target.
+  EXPECT_FALSE(q.enqueue(1, "ring", 1.5));
+  double now = *q.next_retry_at();
+  while (!q.empty()) {
+    for (const auto& oc : q.drain_batch(fleet, now, rng))
+      EXPECT_EQ(q.session_name(oc.request.session), "ring");
+    now = q.next_retry_at().value_or(now + 1.0);
+  }
+  ASSERT_EQ(q.dead_letters().size(), 1u);
+  EXPECT_EQ(q.dead_letters()[0].node, 1);
+  EXPECT_EQ(q.session_name(q.dead_letters()[0].session), "ring");
+  EXPECT_THROW(q.session_name(3), std::out_of_range);
+}
+
+TEST(ReconfigQueue, RetriesFromSeveralBackoffsRejoinInDeadlineOrder) {
+  // Requests backing off with different delays are released in (deadline,
+  // failure order), also after the drain clock stepped back.
+  auto fleet = test_fleet(5);
+  for (auto& fm : fleet) fm.bundle(0).fail();
+  RetryPolicy p;
+  p.max_attempts = 10;
+  p.base_backoff = 1.0;
+  p.backoff_factor = 2.0;
+  p.max_backoff = 8.0;
+  ReconfigQueue q(/*max_batch=*/16, p);
+  Rng rng(1);
+  const auto drain = [&](double now) {
+    std::vector<int> nodes;
+    for (const auto& oc : q.drain_batch(fleet, now, rng))
+      nodes.push_back(oc.request.node);
+    return nodes;
+  };
+  q.enqueue(0, "ring", 0.0);
+  q.enqueue(1, "ring", 0.0);
+  EXPECT_EQ(drain(0.0), (std::vector<int>{0, 1}));  // both due at 1.0
+  EXPECT_EQ(drain(1.0), (std::vector<int>{0, 1}));  // both due at 3.0
+  q.enqueue(2, "ring", 1.5);
+  EXPECT_EQ(drain(1.5), (std::vector<int>{2}));  // due at 2.5
+  q.enqueue(3, "ring", 2.0);
+  EXPECT_EQ(drain(2.0), (std::vector<int>{3}));  // due at 3.0, after 0, 1
+  q.enqueue(4, "ring", 1.8);
+  EXPECT_EQ(drain(1.8), (std::vector<int>{4}));  // clock back: due at 2.8
+  EXPECT_DOUBLE_EQ(*q.next_retry_at(), 2.5);
+  EXPECT_EQ(q.retrying(), 5u);
+  for (auto& fm : fleet) fm.bundle(0).repair();
+  EXPECT_EQ(drain(10.0), (std::vector<int>{2, 4, 0, 1, 3}));
+  EXPECT_TRUE(q.empty());
+  EXPECT_FALSE(q.next_retry_at().has_value());
 }
 
 }  // namespace
