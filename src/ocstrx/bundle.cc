@@ -2,10 +2,15 @@
 
 #include <memory>
 #include <stdexcept>
+#include <type_traits>
 
 #include "src/common/contracts.h"
 
 namespace ihbd::ocstrx {
+
+// A node's bundles are views into its members: assigning one would detach it.
+static_assert(!std::is_copy_assignable_v<Bundle> &&
+              !std::is_move_assignable_v<Bundle>);
 
 Bundle::Bundle(std::uint32_t id, int gpu_upper, int gpu_lower, int trx_count,
                const TrxConfig& trx_config)
@@ -25,11 +30,6 @@ Bundle::Bundle(const Bundle& other)
       count_(other.count_),
       failed_members_(other.failed_members_),
       id_(other.id_) {}
-
-Bundle& Bundle::operator=(const Bundle& other) {
-  if (this != &other) *this = Bundle(other);
-  return *this;
-}
 
 Transceiver& Bundle::member(int index) const {
   if (index < 0 || index >= count_)

@@ -23,7 +23,8 @@ class NodeFabricManager;
 /// A bundle of OCSTrx modules serving one GPU pair. A standalone bundle
 /// owns its members; a node's bundle (NodeFabricManager::bundle) addresses
 /// a range of the node's contiguous member array. A copy always owns its
-/// members.
+/// members. Bundles are not assignable: assigning over a node's bundle
+/// would detach it from the node's members.
 class Bundle {
  public:
   /// `id` is unique within the node; `gpu_upper`/`gpu_lower` are the node-
@@ -31,9 +32,9 @@ class Bundle {
   Bundle(std::uint32_t id, int gpu_upper, int gpu_lower, int trx_count,
          const TrxConfig& trx_config = {});
   Bundle(const Bundle& other);
-  Bundle& operator=(const Bundle& other);
   Bundle(Bundle&&) noexcept = default;
-  Bundle& operator=(Bundle&&) noexcept = default;
+  Bundle& operator=(const Bundle&) = delete;
+  Bundle& operator=(Bundle&&) = delete;
 
   std::uint32_t id() const { return id_; }
   int trx_count() const { return count_; }

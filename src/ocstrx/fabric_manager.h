@@ -44,6 +44,8 @@ class NodeFabricManager {
 
   int gpu_count() const { return gpus_; }
   int bundle_count() const { return static_cast<int>(bundles_.size()); }
+  /// A view into this node's members (Bundle is not assignable, so it
+  /// cannot be detached from them).
   Bundle& bundle(int index) { return bundles_.at(index); }
   const Bundle& bundle(int index) const { return bundles_.at(index); }
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <utility>
 
 namespace ihbd::ocstrx {
 
@@ -72,67 +71,21 @@ bool ReconfigQueue::enqueue(int node, const std::string& session, double now) {
   return true;
 }
 
-ReconfigQueue::RetryLevel& ReconfigQueue::level_for(int failed_attempts) {
-  const bool cached = failed_attempts < kCachedLevels;
-  if (cached && level_of_[static_cast<std::size_t>(failed_attempts)] >= 0)
-    return retry_[static_cast<std::size_t>(
-        level_of_[static_cast<std::size_t>(failed_attempts)])];
-  const double backoff = policy_.backoff_for(failed_attempts);
-  auto level =
-      std::find_if(retry_.begin(), retry_.end(),
-                   [&](const RetryLevel& l) { return l.backoff == backoff; });
-  if (level == retry_.end()) {
-    retry_.push_back(RetryLevel{backoff, {}});
-    level = std::prev(retry_.end());
-  }
-  if (cached) {
-    level_of_[static_cast<std::size_t>(failed_attempts)] =
-        static_cast<int>(level - retry_.begin());
-  }
-  return *level;
-}
-
-void ReconfigQueue::push_retry(RetryLevel& level, const RetryKey& key) {
-  // A non-decreasing drain clock appends; an earlier one inserts in order.
-  level.keys.insert_ordered(key);
-  ++retrying_;
-  next_due_ = std::min(next_due_, key.not_before);
-}
-
 std::optional<double> ReconfigQueue::next_retry_at() const {
-  if (retrying_ == 0) return std::nullopt;
-  return next_due_;
-}
-
-void ReconfigQueue::promote_due_retries(double now) {
-  // Each level's due keys are a prefix of it; their union rejoins the
-  // ready FIFO in RetryKey order, so runs from several levels are merged.
-  due_.clear();
-  int runs = 0;
-  next_due_ = std::numeric_limits<double>::infinity();
-  for (RetryLevel& level : retry_) {
-    const std::size_t before = due_.size();
-    while (!level.keys.empty() && level.keys.front().not_before <= now) {
-      due_.push_back(level.keys.front());
-      level.keys.pop_front();
-    }
-    if (due_.size() != before) ++runs;
-    if (!level.keys.empty())
-      next_due_ = std::min(next_due_, level.keys.front().not_before);
-  }
-  if (runs > 1) std::sort(due_.begin(), due_.end());
-  for (const RetryKey& key : due_) {
-    entries_[key.entry].in_retry = false;
-    ready_.push_back(key.entry);
-  }
-  retrying_ -= due_.size();
+  if (retry_.empty()) return std::nullopt;
+  return retry_.top().not_before;
 }
 
 const std::vector<ReconfigOutcome>& ReconfigQueue::drain_batch(
     std::vector<NodeFabricManager>& fleet, double now, Rng& rng) {
   // Due retries rejoin the FIFO tail in deadline order before the batch is
   // cut, so a recovered request competes fairly with fresh arrivals.
-  if (next_due_ <= now) promote_due_retries(now);
+  while (!retry_.empty() && retry_.top().not_before <= now) {
+    const std::uint32_t entry = retry_.top().entry;
+    retry_.pop();
+    entries_[entry].in_retry = false;
+    ready_.push_back(entry);
+  }
 
   out_.clear();
   while (!ready_.empty() && out_.size() < max_batch_) {
@@ -180,10 +133,9 @@ const std::vector<ReconfigOutcome>& ReconfigQueue::drain_batch(
     }
     // Back off in place: the entry (and the node's slot) stays live.
     oc.will_retry = true;
-    RetryLevel& level = level_for(req.attempts);
-    req.not_before = now + level.backoff;
+    req.not_before = now + policy_.backoff_for(req.attempts);
     entries_[entry].in_retry = true;
-    push_retry(level, RetryKey{req.not_before, retry_seq_++, entry});
+    retry_.push(RetryKey{req.not_before, retry_seq_++, entry});
     ++retried_;
   }
   return out_;

@@ -29,17 +29,12 @@
 // dependency); src/ctrl owns the drain cadence and the metrics.
 //
 // Storage is flat: requests live in a recycled entry pool, a dense
-// node-indexed slot table finds a node's queued request, and the ready
-// FIFO holds entry indices. Backing-off requests rejoin the ready FIFO in
-// (deadline, failure sequence) order — the sequence keeps equal deadlines
-// in the order they failed. A deadline is `now + backoff_for(attempts)`
-// and backoff_for takes a handful of values, so the backoff set is one
-// FIFO per distinct delay. Under a non-decreasing drain clock each FIFO
-// fills in deadline order (a clock that steps back inserts in order), so
-// a drain takes the due prefix of every FIFO and merges those few runs.
-// Only node ids in [0, kMaxSlotNodes) index the slot table; any other id
-// is queued without a slot (it never coalesces) and fails permanently at
-// drain unless the fleet really holds it.
+// node-indexed slot table finds a node's queued request, the ready FIFO
+// holds entry indices, and the backoff set is a binary heap keyed on
+// (deadline, insertion sequence) — the sequence keeps equal deadlines in
+// the order they failed. Only node ids in [0, kMaxSlotNodes) index the
+// slot table; any other id is queued without a slot (it never coalesces)
+// and fails permanently at drain unless the fleet really holds it.
 //
 // Session names are interned: enqueue() maps each distinct name to a small
 // per-queue SessionId, so requests, outcomes and dead letters carry an
@@ -50,9 +45,10 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <iterator>
-#include <limits>
+#include <deque>
+#include <functional>
 #include <optional>
+#include <queue>
 #include <string>
 #include <vector>
 
@@ -126,10 +122,10 @@ class ReconfigQueue {
   }
 
   /// Requests not yet resolved: ready to drain plus backing off.
-  std::size_t pending() const { return ready_.size() + retrying_; }
-  bool empty() const { return ready_.empty() && retrying_ == 0; }
+  std::size_t pending() const { return ready_.size() + retry_.size(); }
+  bool empty() const { return ready_.empty() && retry_.empty(); }
   std::size_t ready() const { return ready_.size(); }
-  std::size_t retrying() const { return retrying_; }
+  std::size_t retrying() const { return retry_.size(); }
   std::size_t max_batch() const { return max_batch_; }
   const RetryPolicy& policy() const { return policy_; }
 
@@ -165,59 +161,21 @@ class ReconfigQueue {
   /// builds, and small enough that a table covering it stays a few MiB.
   static constexpr int kMaxSlotNodes = 1 << 20;
   static constexpr std::uint32_t kNoEntry = UINT32_MAX;
-  static constexpr int kCachedLevels = 64;
 
   /// One queued request (a node has at most one).
   struct Entry {
     ReconfigRequest request;
     bool in_retry = false;
   };
-  /// A backing-off request: earliest deadline first, then failure order.
+  /// Backoff-heap key: earliest deadline first, then failure order.
   struct RetryKey {
     double not_before;
     std::uint64_t seq;
     std::uint32_t entry;
-    bool operator<(const RetryKey& o) const {
-      return not_before != o.not_before ? not_before < o.not_before
-                                        : seq < o.seq;
+    bool operator>(const RetryKey& o) const {
+      return not_before != o.not_before ? not_before > o.not_before
+                                        : seq > o.seq;
     }
-  };
-  /// A FIFO on one vector: pop_front() advances a head index, and the
-  /// consumed prefix is dropped once it is half the storage (or all of it).
-  template <class T>
-  class Fifo {
-   public:
-    bool empty() const { return head_ == items_.size(); }
-    std::size_t size() const { return items_.size() - head_; }
-    const T& front() const { return items_[head_]; }
-    void push_back(const T& v) { items_.push_back(v); }
-    void pop_front() {
-      if (++head_ == items_.size()) {
-        items_.clear();
-        head_ = 0;
-      } else if (head_ >= 64 && 2 * head_ >= items_.size()) {
-        items_.erase(items_.begin(),
-                     items_.begin() + static_cast<std::ptrdiff_t>(head_));
-        head_ = 0;
-      }
-    }
-    /// Insert keeping operator< order, scanning from the back (O(1) when
-    /// `v` belongs at the end).
-    void insert_ordered(const T& v) {
-      auto pos = items_.end();
-      const auto first = items_.begin() + static_cast<std::ptrdiff_t>(head_);
-      while (pos != first && v < *std::prev(pos)) --pos;
-      items_.insert(pos, v);
-    }
-
-   private:
-    std::vector<T> items_;
-    std::size_t head_ = 0;
-  };
-  /// The backing-off requests of one backoff delay, in RetryKey order.
-  struct RetryLevel {
-    double backoff;
-    Fifo<RetryKey> keys;
   };
 
   /// The node's slot, or nullptr for ids outside [0, kMaxSlotNodes).
@@ -225,12 +183,6 @@ class ReconfigQueue {
   std::uint32_t* slot_for(int node);
   void release(std::uint32_t entry);
   SessionId intern(const std::string& session);
-  /// The level of a request that failed `failed_attempts` times; created
-  /// on first use. level_of_ caches the first kCachedLevels counts.
-  RetryLevel& level_for(int failed_attempts);
-  void push_retry(RetryLevel& level, const RetryKey& key);
-  /// Move every backing-off request due at `now` to the ready FIFO.
-  void promote_due_retries(double now);
 
   std::size_t max_batch_;
   RetryPolicy policy_;
@@ -238,15 +190,9 @@ class ReconfigQueue {
   std::vector<Entry> entries_;           ///< request pool
   std::vector<std::uint32_t> free_;      ///< recycled pool indices
   std::vector<std::uint32_t> slot_;      ///< node -> entry (kNoEntry: none)
-  Fifo<std::uint32_t> ready_;            ///< due now
-  std::vector<RetryLevel> retry_;        ///< backing off, per delay
-  /// Failed attempts -> retry_ index (-1: not seen yet).
-  std::vector<int> level_of_ = std::vector<int>(kCachedLevels, -1);
-  std::size_t retrying_ = 0;             ///< keys across retry_
-  /// Earliest deadline in retry_ (+inf when empty): a drain with nothing
-  /// due skips the level scan.
-  double next_due_ = std::numeric_limits<double>::infinity();
-  std::vector<RetryKey> due_;            ///< promote_due_retries() scratch
+  std::deque<std::uint32_t> ready_;      ///< FIFO, due now
+  std::priority_queue<RetryKey, std::vector<RetryKey>, std::greater<>>
+      retry_;                            ///< backing off
   std::uint64_t retry_seq_ = 0;
   std::vector<ReconfigOutcome> out_;     ///< drain_batch() result storage
   std::vector<ReconfigRequest> dead_;
